@@ -245,15 +245,15 @@ func benchmarks() map[string]func(b *testing.B) {
 				env.TxEnd()
 			}
 		},
-		// Decode one 256-transaction capture from the compact (v3) wire
-		// format back into ops — the cache-dir boundary cost the replay
-		// pipeline pays when it restores a column from disk instead of
-		// keeping it in memory. One iteration = one full capture decode
-		// (1536 ops), so ns/op tracks whole-capture latency.
+		// Decode one 256-transaction recording from the compact (v3) wire
+		// format back into ops — the read side of hooptrace dump/replay.
+		// One iteration = one full trace decode (1536 ops), so ns/op tracks
+		// whole-trace latency.
 		"replay_decode": func(b *testing.B) {
 			sys := engineForBench(b)
-			var sink trace.OpSink
-			sys.Subscribe(&sink, trace.RecordMask)
+			var wire bytes.Buffer
+			rec := trace.NewRecorder(&wire)
+			sys.Subscribe(rec, trace.RecordMask)
 			env := sys.NewEnv(0)
 			const span = 1 << 20
 			const captured = 256
@@ -265,64 +265,15 @@ func benchmarks() map[string]func(b *testing.B) {
 				}
 				env.TxEnd()
 			}
-			if err := sink.Err(); err != nil {
-				b.Fatal(err)
-			}
-			wire, err := trace.WriteOps(sink.Ops)
-			if err != nil {
-				b.Fatal(err)
-			}
-			want := len(sink.Ops)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ops, err := trace.NewReader(bytes.NewReader(wire)).ReadAll()
-				if err != nil || len(ops) != want {
-					b.Fatalf("decode: %v (%d of %d ops)", err, len(ops), want)
-				}
-			}
-		},
-		// One recorded 4-word transaction reissued through trace.ApplyOp —
-		// the per-transaction cost of the record-once/replay-many matrix
-		// pipeline (capture outside the timer, replay inside). Steady-state
-		// budget is zero allocations: decoded ops and the load scratch
-		// buffer are reused across iterations.
-		"replay_txs": func(b *testing.B) {
-			var buf bytes.Buffer
-			rec := trace.NewRecorder(&buf)
-			src := engineForBench(b)
-			src.Subscribe(rec, trace.RecordMask)
-			env := src.NewEnv(0)
-			const span = 1 << 20
-			const captured = 256
-			for i := 0; i < captured; i++ {
-				base := mem.PAddr(uint64(i) * 4 * mem.WordSize % span)
-				env.TxBegin()
-				for w := 0; w < 4; w++ {
-					env.WriteWord(base+mem.PAddr(w*mem.WordSize), uint64(i))
-				}
-				env.TxEnd()
-			}
 			if err := rec.Flush(); err != nil {
 				b.Fatal(err)
 			}
-			ops, err := trace.NewReader(&buf).ReadAll()
-			if err != nil {
-				b.Fatal(err)
-			}
-			txs, err := trace.SplitTxs(ops, 1)
-			if err != nil || len(txs[0]) != captured {
-				b.Fatalf("split: %v (%d txs)", err, len(txs))
-			}
-			sys := engineForBench(b)
-			denv := sys.NewEnv(0)
-			var scratch []byte
+			want := int(rec.Count())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, op := range txs[0][i%captured] {
-					scratch, err = trace.ApplyOp(denv, op, scratch)
-					if err != nil {
-						b.Fatal(err)
-					}
+				ops, err := trace.NewReader(bytes.NewReader(wire.Bytes())).ReadAll()
+				if err != nil || len(ops) != want {
+					b.Fatalf("decode: %v (%d of %d ops)", err, len(ops), want)
 				}
 			}
 		},

@@ -58,7 +58,7 @@ func Ablation(opts Options) (*Grid, error) {
 		}
 	}
 	opts.attachTrace("ablation", cells)
-	mets, _, err := runCellsCached(cells, opts)
+	mets, _, err := runMemoized(cells, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,48 +16,63 @@ import (
 )
 
 // cacheSchema versions the on-disk cell cache. Bump it whenever the
-// simulator's measured semantics change in a way the config string cannot
+// simulator's measured semantics change in a way the key parts cannot
 // express (engine scheduling, scheme internals, metric definitions): the
 // version participates in every key, so a bump invalidates everything.
 // v2: workload identity moved from the global Tuning to per-workload
 // Options, and per-thread runner seeds changed to engine.ShardSeed.
-// v3: traces store in the compact wire format, capture keys dropped the
-// txs field (one capture serves every prefix), and the cache went
-// section-generic (direct, contention, and wear entries joined
-// capture/replay).
-const cacheSchema = "hoop-cellcache/v3"
+// v3: compact trace wire, txs-free capture keys, section-generic kinds.
+// v4: record/replay execution removed; every kind is one memo entry
+// ({schema, kind, value}) keyed by %#v key parts, which prints simulated
+// durations exactly where v3's %+v rounded them through Time.String.
+const cacheSchema = "hoop-cellcache/v4"
 
-// Entry kinds. Each kind's key string starts with its name, so kinds can
-// never alias each other even with otherwise identical fields.
+// Memo kinds. The kind participates in the key, so kinds can never alias
+// each other even with otherwise identical key parts.
 const (
-	kindCapture    = "capture"
-	kindReplay     = "replay"
-	kindDirect     = "direct"
+	kindCell       = "cell"
 	kindContention = "contention"
 	kindWear       = "wear"
 )
 
-// cacheStats counts one section's cache traffic. Bytes cover the files
-// this layer reads and writes (JSON sidecars and trace wires).
+// memoKey is the cache's one key function: the sha256 of the schema, the
+// kind, and every key part in %#v form. %#v prints every field of a
+// struct (exported or not) without calling String methods, so two inputs
+// that differ anywhere produce different keys; key parts must hold no
+// maps, pointers or funcs, whose %#v is not a function of their contents.
+func memoKey(kind string, parts ...any) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\n%s\n", cacheSchema, kind)
+	for _, p := range parts {
+		fmt.Fprintf(h, "%#v\n", p)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// memoEntry is the cache's one entry format: <key>.json holds the schema
+// and kind it was written under plus the memoized value.
+type memoEntry struct {
+	Schema string          `json:"schema"`
+	Kind   string          `json:"kind"`
+	Value  json.RawMessage `json:"value"`
+}
+
+// cacheStats counts one section's cache traffic.
 type cacheStats struct {
 	Hits, Misses, Evictions int
 	BytesRead, BytesWritten int64
 }
 
-// cellCache memoizes harness cells on disk. A capture cell is keyed by
-// everything that determines its op stream except the transaction count
-// (a capture at T transactions serves any prefix T' <= T); replay,
-// direct, contention, and wear entries are keyed by their full inputs
-// including txs. Cached metrics round-trip through JSON exactly
-// (sim.Histogram included), so a warm rerun renders byte-identical grids.
-// All cache I/O happens on the orchestrator goroutine between cell
-// batches — workers never touch it.
+// cellCache memoizes harness results on disk, one <key>.json file per
+// entry. Cached metrics round-trip through JSON exactly (sim.Histogram
+// included), so a warm rerun renders byte-identical grids. All cache I/O
+// happens on the orchestrator goroutine between worker-pool batches —
+// workers never touch it.
 type cellCache struct {
 	dir string
 	max int64 // byte cap; <= 0 means unlimited
 	// used marks keys loaded or stored during this run: eviction skips
-	// them, so a tiny cap can never delete a trace a later replay batch
-	// of the same run still needs.
+	// them, so a tiny cap never deletes what this run just produced.
 	used map[string]bool
 	// section labels hit/miss attribution; RunSections rotates it.
 	section string
@@ -161,272 +177,138 @@ func fmtBytes(n int64) string {
 	}
 }
 
-// configCacheKey canonicalizes the post-Mut engine config. Config is all
-// value fields, so %+v is deterministic — except SchemeOpts, whose map
-// iteration order is not: cells carrying SchemeOpts are simply not cached.
-func configCacheKey(scheme string, mut func(*engine.Config)) (string, bool) {
+// memoConfig resolves the post-Mut engine config a memo key describes.
+// SchemeOpts is a map of arbitrary values, whose %#v is not a function of
+// its contents: configs carrying it are simply not cached.
+func memoConfig(scheme string, mut func(*engine.Config)) (engine.Config, bool) {
 	cfg := engine.DefaultConfig(scheme)
 	if mut != nil {
 		mut(&cfg)
 	}
-	if cfg.SchemeOpts != nil {
-		return "", false
-	}
-	return fmt.Sprintf("%+v", cfg), true
+	return cfg, cfg.SchemeOpts == nil
 }
 
-// captureKey identifies a workload capture. Deliberately txs-free: the
-// capture stored under it is a full recording at some transaction count,
-// and any cell needing a shorter window replays a committed-tx prefix.
-func (cc *cellCache) captureKey(c Cell) (string, bool) {
-	if c.Sink != nil {
-		return "", false
+// load fills v from the entry under key, or reports a miss on any problem
+// — missing file, foreign schema or kind, undecodable value — so
+// corruption degrades to re-execution, never to wrong numbers.
+func (cc *cellCache) load(key, kind string, v any) bool {
+	raw, err := os.ReadFile(filepath.Join(cc.dir, key+".json"))
+	var e memoEntry
+	if err != nil || json.Unmarshal(raw, &e) != nil || e.Schema != cacheSchema || e.Kind != kind ||
+		json.Unmarshal(e.Value, v) != nil {
+		cc.stat().Misses++
+		return false
 	}
-	cfg, ok := configCacheKey(c.Scheme, c.mut())
-	if !ok {
-		return "", false
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\nworkload=%s\nseed=%d\nopts=%+v\nconfig=%s\n",
-		cacheSchema, kindCapture, c.Workload.Name, c.Seed, c.Workload.Opts, cfg)
-	return hex.EncodeToString(h.Sum(nil)), true
+	s := cc.stat()
+	s.Hits++
+	s.BytesRead += int64(len(raw))
+	cc.markUsed(key)
+	return true
 }
 
-func (cc *cellCache) replayKey(c Cell, col *matrixColumn) (string, bool) {
-	if c.Sink != nil || col.hash == "" {
-		return "", false
+// store writes v as the entry under key, then enforces the byte cap.
+func (cc *cellCache) store(key, kind string, v any) error {
+	val, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("harness: cache: %w", err)
 	}
-	cfg, ok := configCacheKey(c.Scheme, c.mut())
-	if !ok {
-		return "", false
+	data, err := json.Marshal(memoEntry{Schema: cacheSchema, Kind: kind, Value: val})
+	if err != nil {
+		return fmt.Errorf("harness: cache: %w", err)
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\ntrace=%s\nsetupops=%d\ntxs=%d\nconfig=%s\n",
-		cacheSchema, kindReplay, col.hash, col.setupOps, c.Txs, cfg)
-	return hex.EncodeToString(h.Sum(nil)), true
+	if err := cc.writeFile(key+".json", data); err != nil {
+		return err
+	}
+	cc.markUsed(key)
+	return cc.enforceMax()
 }
 
-// contentionKey identifies one contention-sweep cell. The hash covers
-// the effective engine config (thread count and abortability applied,
-// exactly as runContentionCell builds it) plus the cc-layer policy and
-// workload geometry, so a DefaultConfig or pool-size change invalidates
-// these entries like any other kind.
-func (cc *cellCache) contentionKey(c contentionCell) (string, bool) {
-	cfg, ok := configCacheKey(c.scheme, func(cfg *engine.Config) {
-		cfg.Threads = c.threads
-		if c.threads > cfg.Cores {
-			cfg.Cores = c.threads
+// memo returns the value memoized under (kind, parts), computing and
+// storing it on a miss. With caching off, or parts nil (an uncacheable
+// input), it just computes.
+func memo[T any](opts Options, kind string, parts []any, compute func() (T, error)) (T, error) {
+	cache, err := opts.ensureCache()
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	if cache == nil || parts == nil {
+		return compute()
+	}
+	key := memoKey(kind, parts...)
+	var v T
+	if cache.load(key, kind, &v) {
+		return v, nil
+	}
+	if v, err = compute(); err != nil {
+		return v, err
+	}
+	return v, cache.store(key, kind, v)
+}
+
+// runMemoized is the batch form of memo over worker-pool jobs: jobs whose
+// entries hit are read from the cache, the misses execute as one runPool
+// batch and are stored afterwards. Every section's cells — the matrix,
+// TableIV, the sweeps, ablation, contention — run through here. Results
+// are byte-identical with and without the cache.
+func runMemoized[J job](jobs []J, opts Options) ([]Metrics, CellStats, error) {
+	cache, err := opts.ensureCache()
+	if err != nil {
+		return nil, CellStats{}, err
+	}
+	if cache == nil {
+		return runPool(jobs, opts.workers())
+	}
+	mets := make([]Metrics, len(jobs))
+	kinds, keys := make([]string, len(jobs)), make([]string, len(jobs))
+	var miss []J
+	var missIdx []int
+	for i, j := range jobs {
+		var parts []any
+		kinds[i], parts = j.memo()
+		if parts != nil {
+			keys[i] = memoKey(kinds[i], parts...)
+			if cache.load(keys[i], kinds[i], &mets[i]) {
+				continue
+			}
 		}
-		cfg.Abortable = true
-	})
-	if !ok {
-		return "", false
+		miss = append(miss, j)
+		missIdx = append(missIdx, i)
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\npolicy=%s\ntheta=%g\nkeys=%d\nopspertx=%d\ntxs=%d\nseed=%d\nconfig=%s\n",
-		cacheSchema, kindContention, c.policy, c.theta, contentionKeys, contentionOpsPerTx, c.txs, c.seed, cfg)
-	return hex.EncodeToString(h.Sum(nil)), true
-}
-
-// directKey identifies a direct-execution cell (the non-matrix sections:
-// TableIV, the GC/latency/map-size sweeps, ablation variants). Cells with
-// a custom Exec or a sink are not cacheable.
-func (cc *cellCache) directKey(c Cell) (string, bool) {
-	if c.Sink != nil || c.Exec != nil {
-		return "", false
-	}
-	cfg, ok := configCacheKey(c.Scheme, c.mut())
-	if !ok {
-		return "", false
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\nworkload=%s\nseed=%d\ntxs=%d\nopts=%+v\nconfig=%s\n",
-		cacheSchema, kindDirect, c.Workload.Name, c.Seed, c.Txs, c.Workload.Opts, cfg)
-	return hex.EncodeToString(h.Sum(nil)), true
-}
-
-// wearKey identifies one wear-experiment run (scheme + effective config
-// + workload sizing + seed + transaction count).
-func (cc *cellCache) wearKey(scheme string, mut func(*engine.Config), txs int, opts Options) (string, bool) {
-	cfg, ok := configCacheKey(scheme, mut)
-	if !ok {
-		return "", false
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\nworkload=hashmap\nseed=%d\ntxs=%d\nopts=%+v\nconfig=%s\n",
-		cacheSchema, kindWear, opts.Seed, txs, opts.WL, cfg)
-	return hex.EncodeToString(h.Sum(nil)), true
-}
-
-// captureEntry is the JSON sidecar of a cached capture cell; the trace
-// wire bytes live next to it in <key>.trc. Txs is the transaction count
-// the capture was measured at — cells needing fewer replay a prefix,
-// cells needing more re-capture (and overwrite the entry).
-type captureEntry struct {
-	Schema    string  `json:"schema"`
-	Workload  string  `json:"workload"`
-	Threads   int     `json:"threads"`
-	SetupOps  int     `json:"setup_ops"`
-	Txs       int     `json:"txs"`
-	TraceHash string  `json:"trace_hash"`
-	Metrics   Metrics `json:"metrics"`
-}
-
-// metricsEntry is the JSON sidecar of every metrics-valued cache kind
-// (replay, direct, contention).
-type metricsEntry struct {
-	Schema  string  `json:"schema"`
-	Kind    string  `json:"kind"`
-	Scheme  string  `json:"scheme"`
-	Metrics Metrics `json:"metrics"`
-}
-
-// wearEntry wraps a cached WearReport — the one cache kind whose value
-// is not a Metrics window.
-type wearEntry struct {
-	Schema string     `json:"schema"`
-	Kind   string     `json:"kind"`
-	Scheme string     `json:"scheme"`
-	Report WearReport `json:"report"`
-}
-
-func (cc *cellCache) loadWear(key string) (WearReport, bool) {
-	raw, err := os.ReadFile(filepath.Join(cc.dir, key+".json"))
+	res, stats, err := runPool(miss, opts.workers())
 	if err != nil {
-		cc.stat().Misses++
-		return WearReport{}, false
+		return nil, stats, err
 	}
-	var e wearEntry
-	if err := json.Unmarshal(raw, &e); err != nil || e.Schema != cacheSchema || e.Kind != kindWear {
-		cc.stat().Misses++
-		return WearReport{}, false
+	for k, i := range missIdx {
+		mets[i] = res[k]
+		if keys[i] != "" {
+			if err := cache.store(keys[i], kinds[i], res[k]); err != nil {
+				return nil, stats, err
+			}
+		}
 	}
-	s := cc.stat()
-	s.Hits++
-	s.BytesRead += int64(len(raw))
-	cc.markUsed(key)
-	return e.Report, true
-}
-
-func (cc *cellCache) storeWear(key, scheme string, rep WearReport) error {
-	data, err := json.Marshal(wearEntry{Schema: cacheSchema, Kind: kindWear, Scheme: scheme, Report: rep})
-	if err != nil {
-		return fmt.Errorf("harness: cache: %w", err)
+	stats.Cells = len(jobs)
+	stats.Cached = len(jobs) - len(miss)
+	if stats.Workers == 0 {
+		stats.Workers = opts.workers()
 	}
-	if err := cc.writeFile(key+".json", data); err != nil {
-		return err
-	}
-	cc.markUsed(key)
-	return cc.enforceMax()
-}
-
-func (cc *cellCache) tracePath(key string) string {
-	return filepath.Join(cc.dir, key+".trc")
-}
-
-// loadCapture returns the cached capture entry if it covers at least
-// needTxs transactions, or miss on any problem — missing files, wrong
-// schema, wrong workload, too-short capture — so corruption degrades to
-// re-execution, never to wrong numbers.
-func (cc *cellCache) loadCapture(key, workloadName string, needTxs int) (*captureEntry, bool) {
-	raw, err := os.ReadFile(filepath.Join(cc.dir, key+".json"))
-	if err != nil {
-		cc.stat().Misses++
-		return nil, false
-	}
-	var e captureEntry
-	if err := json.Unmarshal(raw, &e); err != nil || e.Schema != cacheSchema || e.Workload != workloadName ||
-		e.Threads <= 0 || e.Txs < needTxs || e.TraceHash == "" {
-		cc.stat().Misses++
-		return nil, false
-	}
-	if _, err := os.Stat(cc.tracePath(key)); err != nil {
-		cc.stat().Misses++
-		return nil, false
-	}
-	s := cc.stat()
-	s.Hits++
-	s.BytesRead += int64(len(raw))
-	cc.markUsed(key)
-	return &e, true
-}
-
-func (cc *cellCache) storeCapture(key string, col *matrixColumn, wire []byte, met Metrics) error {
-	e := captureEntry{
-		Schema:    cacheSchema,
-		Workload:  col.workload,
-		Threads:   col.threads,
-		SetupOps:  col.setupOps,
-		Txs:       col.capturedTxs,
-		TraceHash: col.hash,
-		Metrics:   met,
-	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("harness: cache: %w", err)
-	}
-	if err := cc.writeFile(key+".trc", wire); err != nil {
-		return err
-	}
-	if err := cc.writeFile(key+".json", data); err != nil {
-		return err
-	}
-	cc.markUsed(key)
-	return cc.enforceMax()
-}
-
-// loadMetrics is the shared read path of the metrics-valued kinds.
-func (cc *cellCache) loadMetrics(key, kind string) (Metrics, bool) {
-	raw, err := os.ReadFile(filepath.Join(cc.dir, key+".json"))
-	if err != nil {
-		cc.stat().Misses++
-		return Metrics{}, false
-	}
-	var e metricsEntry
-	if err := json.Unmarshal(raw, &e); err != nil || e.Schema != cacheSchema || e.Kind != kind {
-		cc.stat().Misses++
-		return Metrics{}, false
-	}
-	s := cc.stat()
-	s.Hits++
-	s.BytesRead += int64(len(raw))
-	cc.markUsed(key)
-	return e.Metrics, true
-}
-
-func (cc *cellCache) storeMetrics(key, kind, scheme string, met Metrics) error {
-	data, err := json.Marshal(metricsEntry{Schema: cacheSchema, Kind: kind, Scheme: scheme, Metrics: met})
-	if err != nil {
-		return fmt.Errorf("harness: cache: %w", err)
-	}
-	if err := cc.writeFile(key+".json", data); err != nil {
-		return err
-	}
-	cc.markUsed(key)
-	return cc.enforceMax()
+	return mets, stats, nil
 }
 
 // markUsed records that this run touched key — it is pinned against
 // eviction for the rest of the run — and refreshes the entry's file
-// timestamps, which are the cache's LRU clock.
+// timestamp, which is the cache's LRU clock.
 func (cc *cellCache) markUsed(key string) {
 	cc.used[key] = true
 	now := time.Now()
-	for _, name := range []string{key + ".json", key + ".trc"} {
-		path := filepath.Join(cc.dir, name)
-		if _, err := os.Stat(path); err == nil {
-			os.Chtimes(path, now, now)
-		}
-	}
+	os.Chtimes(filepath.Join(cc.dir, key+".json"), now, now)
 }
 
 // enforceMax evicts least-recently-used entries until the cache fits the
-// byte cap. Entries are whole key groups — a capture's <key>.json and
-// <key>.trc leave together — ordered by newest file modification time
-// (loads refresh it via markUsed), with the key as a deterministic
-// tiebreak. Keys used during this run are pinned. Eviction failures
-// degrade to a larger cache, never to an error: the cache is an
-// optimization, and a stale entry is re-keyed or re-validated on load.
+// byte cap, ordered by file modification time (loads refresh it via
+// markUsed) with the name as a deterministic tiebreak. Keys used during
+// this run are pinned. Eviction failures degrade to a larger cache, never
+// to an error: the cache is an optimization.
 func (cc *cellCache) enforceMax() error {
 	if cc.max <= 0 {
 		return nil
@@ -435,60 +317,34 @@ func (cc *cellCache) enforceMax() error {
 	if err != nil {
 		return nil
 	}
-	type group struct {
-		key   string
-		size  int64
-		mtime time.Time
-		files []string
-	}
-	groups := map[string]*group{}
 	var total int64
+	var order []fs.FileInfo
 	for _, ent := range ents {
 		name := ent.Name()
-		ext := filepath.Ext(name)
-		if ent.IsDir() || (ext != ".json" && ext != ".trc") {
+		if ent.IsDir() || filepath.Ext(name) != ".json" {
 			continue
 		}
 		info, err := ent.Info()
 		if err != nil {
 			continue
 		}
-		key := strings.TrimSuffix(name, ext)
-		g := groups[key]
-		if g == nil {
-			g = &group{key: key}
-			groups[key] = g
-		}
-		g.size += info.Size()
-		g.files = append(g.files, name)
-		if mt := info.ModTime(); mt.After(g.mtime) {
-			g.mtime = mt
-		}
 		total += info.Size()
-	}
-	if total <= cc.max {
-		return nil
-	}
-	order := make([]*group, 0, len(groups))
-	for _, g := range groups {
-		if !cc.used[g.key] {
-			order = append(order, g)
+		if !cc.used[strings.TrimSuffix(name, ".json")] {
+			order = append(order, info)
 		}
 	}
 	sort.Slice(order, func(i, j int) bool {
-		if !order[i].mtime.Equal(order[j].mtime) {
-			return order[i].mtime.Before(order[j].mtime)
+		if !order[i].ModTime().Equal(order[j].ModTime()) {
+			return order[i].ModTime().Before(order[j].ModTime())
 		}
-		return order[i].key < order[j].key
+		return order[i].Name() < order[j].Name()
 	})
-	for _, g := range order {
+	for _, info := range order {
 		if total <= cc.max {
 			break
 		}
-		for _, f := range g.files {
-			os.Remove(filepath.Join(cc.dir, f))
-		}
-		total -= g.size
+		os.Remove(filepath.Join(cc.dir, info.Name()))
+		total -= info.Size()
 		cc.stat().Evictions++
 	}
 	return nil
@@ -521,8 +377,9 @@ func (cc *cellCache) writeFile(name string, data []byte) error {
 // CacheInventory summarizes what lives in a cell cache directory without
 // running anything (the hoopbench -cachestats flag).
 type CacheInventory struct {
-	Entries    map[string]int // kind -> sidecar count
-	TraceBytes int64          // bytes in .trc files
+	// Entries counts files by memo kind; "stale" marks entries of an older
+	// cache schema (never hit again) and "foreign" anything else.
+	Entries    map[string]int
 	TotalBytes int64
 	TempFiles  int
 }
@@ -548,28 +405,16 @@ func ReadCacheInventory(dir string) (*CacheInventory, error) {
 			inv.TempFiles++
 			continue
 		}
-		switch filepath.Ext(name) {
-		case ".trc":
-			inv.TraceBytes += info.Size()
-		case ".json":
-			raw, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				continue
-			}
-			var probe struct {
-				Schema   string `json:"schema"`
-				Kind     string `json:"kind"`
-				Workload string `json:"workload"`
-			}
-			if json.Unmarshal(raw, &probe) != nil || !strings.HasPrefix(probe.Schema, "hoop-cellcache/") {
-				inv.Entries["foreign"]++
-				continue
-			}
-			kind := probe.Kind
-			if kind == "" {
-				kind = kindCapture
-			}
-			inv.Entries[kind]++
+		var e memoEntry
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		switch {
+		case err != nil || filepath.Ext(name) != ".json" || json.Unmarshal(raw, &e) != nil ||
+			!strings.HasPrefix(e.Schema, "hoop-cellcache/"):
+			inv.Entries["foreign"]++
+		case e.Schema != cacheSchema:
+			inv.Entries["stale"]++
+		default:
+			inv.Entries[e.Kind]++
 		}
 	}
 	return inv, nil
@@ -588,8 +433,7 @@ func (inv *CacheInventory) String() string {
 		fmt.Fprintf(&b, "  %-12s %d entries\n", k+":", inv.Entries[k])
 		total += inv.Entries[k]
 	}
-	fmt.Fprintf(&b, "  %-12s %d entries, %s of traces, %s total", "all:", total,
-		fmtBytes(inv.TraceBytes), fmtBytes(inv.TotalBytes))
+	fmt.Fprintf(&b, "  %-12s %d entries, %s total", "all:", total, fmtBytes(inv.TotalBytes))
 	if inv.TempFiles > 0 {
 		fmt.Fprintf(&b, ", %d orphaned temp files", inv.TempFiles)
 	}

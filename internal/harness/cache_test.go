@@ -54,9 +54,8 @@ func TestCellCacheWarmRerun(t *testing.T) {
 	}
 }
 
-// TestCellCacheCorruptionDegradesToMiss: corrupt entries re-execute
-// instead of feeding wrong numbers, and a corrupt trace file fails loudly
-// rather than replaying garbage.
+// TestCellCacheCorruptionDegradesToMiss: corrupt or foreign entries
+// re-execute instead of feeding wrong numbers.
 func TestCellCacheCorruptionDegradesToMiss(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Quick: true, Seed: 3, Workers: 1, CacheDir: dir}
@@ -87,27 +86,18 @@ func TestCellCacheCorruptionDegradesToMiss(t *testing.T) {
 		t.Fatal("re-executed metrics diverge from cold run")
 	}
 
-	// Now corrupt the trace payload under a valid meta entry: the replay
-	// stage must refuse it via the content hash.
-	traces, err := filepath.Glob(filepath.Join(dir, "*.trc"))
-	if err != nil || len(traces) != 1 {
-		t.Fatalf("expected 1 cached trace, got %v (%v)", traces, err)
-	}
-	if err := os.WriteFile(traces[0], []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Remove the replay entry so the column must reload its trace file.
+	// A well-formed entry under another kind or schema must miss too.
 	for _, p := range entries {
-		raw, err := os.ReadFile(p)
-		if err != nil {
+		if err := os.WriteFile(p, []byte(`{"schema":"hoop-cellcache/v3","kind":"cell","value":{}}`), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if strings.Contains(string(raw), `"scheme"`) {
-			os.Remove(p)
-		}
 	}
-	if _, err := RunMatrixOn(opts, wls, schemes); err == nil || !strings.Contains(err.Error(), "content hash") {
-		t.Fatalf("corrupt cached trace must fail its hash check, got %v", err)
+	stale, err := RunMatrixOn(opts, wls, schemes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale.Stats.Cached != 0 {
+		t.Fatalf("stale-schema entries still hit: %d cached", stale.Stats.Cached)
 	}
 }
 
@@ -139,7 +129,7 @@ func TestCellCacheLRUEviction(t *testing.T) {
 	if _, err := RunMatrixOn(capped, wlB, schemes); err != nil {
 		t.Fatal(err)
 	}
-	// Only B's two entries (capture + replay) remain on disk.
+	// Only B's two cell entries remain on disk.
 	if entries, err := filepath.Glob(filepath.Join(dir, "*.json")); err != nil || len(entries) != 2 {
 		t.Fatalf("expected A's entries evicted leaving 2, got %v (%v)", entries, err)
 	}
@@ -161,68 +151,6 @@ func TestCellCacheLRUEviction(t *testing.T) {
 	}
 	if !reflect.DeepEqual(coldA.Cells, rerunA.Cells) {
 		t.Fatal("re-executed metrics diverge from the pre-eviction run")
-	}
-}
-
-// TestCellCachePrefixSharedCapture: a capture cached at a large
-// transaction count serves a later matrix at a smaller count without
-// re-capturing — the first scheme's cell prefix-replays instead — and the
-// small run's numbers are bit-identical to an uncached small run.
-func TestCellCachePrefixSharedCapture(t *testing.T) {
-	dir := t.TempDir()
-	wls := []workload.Workload{quickWL("queue")}
-	schemes := []string{engine.SchemeRedo, engine.SchemeHOOP, engine.SchemeNative}
-	big := Options{Quick: true, Seed: 3, Workers: 1, CacheDir: dir, TxsPerCell: 400}
-
-	cold, err := RunMatrixOn(big, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Captures != 1 || cold.CapturesRun != 1 {
-		t.Fatalf("cold run: %d captures, %d executed; want 1 and 1", cold.Captures, cold.CapturesRun)
-	}
-
-	small := big
-	small.TxsPerCell = 150
-	prefix, err := RunMatrixOn(small, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prefix.CapturesRun != 0 {
-		t.Fatalf("prefix run re-captured %d columns despite a longer cached capture", prefix.CapturesRun)
-	}
-	nocache := small
-	nocache.CacheDir = ""
-	direct, err := RunMatrixOn(nocache, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(prefix.Cells, direct.Cells) {
-		t.Fatalf("prefix-replayed matrix diverges from uncached run\nprefix: %+v\ndirect: %+v", prefix.Cells, direct.Cells)
-	}
-
-	// A warm rerun at the small count comes entirely from cache.
-	warm, err := RunMatrixOn(small, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Stats.Cached != warm.Stats.Cells || warm.CapturesRun != 0 {
-		t.Fatalf("warm prefix rerun cached %d/%d cells, executed %d captures", warm.Stats.Cached, warm.Stats.Cells, warm.CapturesRun)
-	}
-	if !reflect.DeepEqual(prefix.Cells, warm.Cells) {
-		t.Fatal("warm prefix rerun diverges from its own cold pass")
-	}
-
-	// Asking for more transactions than any cached capture covers must
-	// re-capture (and the grown capture then serves the big count again).
-	bigger := big
-	bigger.TxsPerCell = 600
-	grown, err := RunMatrixOn(bigger, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grown.CapturesRun != 1 {
-		t.Fatalf("larger-txs run executed %d captures, want 1 (cached capture too short)", grown.CapturesRun)
 	}
 }
 
@@ -285,7 +213,7 @@ func TestContentionCacheWarmRerun(t *testing.T) {
 	}
 }
 
-// TestWearCacheWarmRerun: the wear report caches as a blob (kindWear).
+// TestWearCacheWarmRerun: the wear report memoizes as one kindWear value.
 func TestWearCacheWarmRerun(t *testing.T) {
 	opts := Options{Quick: true, Seed: 3, CacheDir: t.TempDir(),
 		WL: workload.Options{Keys: 4096, ValBytes: 64}}

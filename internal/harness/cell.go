@@ -32,10 +32,6 @@ type Cell struct {
 	// locking even under parallel RunCells.
 	Sink     telemetry.Sink
 	SinkMask telemetry.Mask
-	// Exec, when non-nil, replaces the default direct execution (build a
-	// system, run the workload, measure). The matrix pipeline uses it to
-	// run capture and replay cells through the same worker pool.
-	Exec func(Cell) (Metrics, error)
 }
 
 // mut returns the cell's effective config mutator: the caller's Mut, plus
@@ -70,22 +66,6 @@ type CellStats struct {
 	Cached int
 }
 
-// merge folds a second batch's pool stats into s (the matrix pipeline runs
-// captures and replays as separate batches).
-func (s CellStats) merge(o CellStats) CellStats {
-	s.Cells += o.Cells
-	s.Cached += o.Cached
-	s.Wall += o.Wall
-	s.CellSum += o.CellSum
-	if o.MaxCell > s.MaxCell {
-		s.MaxCell = o.MaxCell
-	}
-	if o.Workers > s.Workers {
-		s.Workers = o.Workers
-	}
-	return s
-}
-
 // Speedup reports CellSum / Wall — how much faster the batch ran than a
 // strictly sequential execution of the same cells.
 func (s CellStats) Speedup() float64 {
@@ -108,25 +88,67 @@ func (s CellStats) String() string {
 	return out
 }
 
+// job is one independent unit of worker-pool work: a matrix or section
+// Cell, or a contention cell. memo names the cache kind and the key parts
+// that determine the job's result (nil parts: not cacheable).
+type job interface {
+	run() (Metrics, error)
+	memo() (kind string, parts []any)
+	String() string
+}
+
+// run executes the cell's transactions on a fresh system and returns the
+// measurement window.
+func (c Cell) run() (Metrics, error) {
+	sys, err := buildSystem(c.Scheme, c.mut())
+	if err != nil {
+		return Metrics{}, err
+	}
+	runners := c.Workload.Runners(sys, c.Seed)
+	return measureWindow(sys, runners, c.Txs, c.Sink, c.SinkMask), nil
+}
+
+// memo keys a cell by everything its window depends on: the workload's
+// name and resolved options, the seed, the transaction count, and the
+// effective engine config (which carries the scheme). A cell feeding a
+// telemetry sink must execute, so it is not cacheable.
+func (c Cell) memo() (string, []any) {
+	if c.Sink != nil {
+		return kindCell, nil
+	}
+	cfg, ok := memoConfig(c.Scheme, c.mut())
+	if !ok {
+		return kindCell, nil
+	}
+	return kindCell, []any{c.Workload.Name, c.Workload.Opts, c.Seed, c.Txs, cfg}
+}
+
+func (c Cell) String() string { return c.Workload.Name + " on " + c.Scheme }
+
 // RunCells executes every cell on a bounded worker pool and returns the
 // per-cell metrics in input order. workers < 1 means runtime.GOMAXPROCS.
 // Because cells are fully independent and seeded individually, the results
 // are bit-identical for every worker count; only wall-clock changes.
 func RunCells(cells []Cell, workers int) ([]Metrics, CellStats, error) {
+	return runPool(cells, workers)
+}
+
+// runPool is RunCells over any job kind.
+func runPool[J job](jobs []J, workers int) ([]Metrics, CellStats, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cells) {
-		workers = len(cells)
+	if workers > len(jobs) {
+		workers = len(jobs)
 	}
-	stats := CellStats{Cells: len(cells), Workers: workers}
-	if len(cells) == 0 {
+	stats := CellStats{Cells: len(jobs), Workers: workers}
+	if len(jobs) == 0 {
 		return nil, stats, nil
 	}
 	start := time.Now()
-	results := make([]Metrics, len(cells))
-	walls := make([]time.Duration, len(cells))
-	errs := make([]error, len(cells))
+	results := make([]Metrics, len(jobs))
+	walls := make([]time.Duration, len(jobs))
+	errs := make([]error, len(jobs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -135,17 +157,12 @@ func RunCells(cells []Cell, workers int) ([]Metrics, CellStats, error) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
+				if i >= len(jobs) {
 					return
 				}
-				c := cells[i]
-				cellStart := time.Now()
-				if c.Exec != nil {
-					results[i], errs[i] = c.Exec(c)
-				} else {
-					results[i], errs[i] = runCell(c)
-				}
-				walls[i] = time.Since(cellStart)
+				jobStart := time.Now()
+				results[i], errs[i] = jobs[i].run()
+				walls[i] = time.Since(jobStart)
 			}
 		}()
 	}
@@ -157,62 +174,10 @@ func RunCells(cells []Cell, workers int) ([]Metrics, CellStats, error) {
 			stats.MaxCell = d
 		}
 		if errs[i] != nil {
-			return nil, stats, fmt.Errorf("harness: %s on %s: %w", cells[i].Workload.Name, cells[i].Scheme, errs[i])
+			return nil, stats, fmt.Errorf("harness: %s: %w", jobs[i], errs[i])
 		}
 	}
 	return results, stats, nil
-}
-
-// runCellsCached is RunCells behind the run's cell cache: direct cells
-// whose full inputs (workload + options, seed, txs, post-Mut config) are
-// memoized skip execution, everything else goes through the normal worker
-// pool and is stored afterwards. Every non-matrix section (TableIV, the
-// GC/latency/map-size sweeps, ablation) runs through here, which is what
-// makes the -cachedir flag section-generic rather than matrix-only.
-// Results are byte-identical with and without the cache.
-func runCellsCached(cells []Cell, opts Options) ([]Metrics, CellStats, error) {
-	cache, err := opts.ensureCache()
-	if err != nil {
-		return nil, CellStats{}, err
-	}
-	if cache == nil {
-		return RunCells(cells, opts.workers())
-	}
-	mets := make([]Metrics, len(cells))
-	keys := make([]string, len(cells))
-	var batch []Cell
-	var batchIdx []int
-	cached := 0
-	for i, c := range cells {
-		if key, ok := cache.directKey(c); ok {
-			keys[i] = key
-			if met, hit := cache.loadMetrics(key, kindDirect); hit {
-				mets[i] = met
-				cached++
-				continue
-			}
-		}
-		batch = append(batch, c)
-		batchIdx = append(batchIdx, i)
-	}
-	res, stats, err := RunCells(batch, opts.workers())
-	if err != nil {
-		return nil, stats, err
-	}
-	for k, i := range batchIdx {
-		mets[i] = res[k]
-		if keys[i] != "" {
-			if err := cache.storeMetrics(keys[i], kindDirect, cells[i].Scheme, res[k]); err != nil {
-				return nil, stats, err
-			}
-		}
-	}
-	stats.Cells = len(cells)
-	stats.Cached = cached
-	if stats.Workers == 0 {
-		stats.Workers = opts.workers()
-	}
-	return mets, stats, nil
 }
 
 // buildSystem constructs a paper-default system with the given scheme,
@@ -229,17 +194,6 @@ func buildSystem(scheme string, mut func(*engine.Config)) (*engine.System, error
 // mechanism kinds plus commits. Per-op kinds stay off so the hot path keeps
 // its single-branch guard.
 var phaseMask = telemetry.MaskPhases | telemetry.MaskOf(telemetry.KindTxCommit)
-
-// runCell executes the cell's transactions on a fresh system and returns
-// the measurement window.
-func runCell(c Cell) (Metrics, error) {
-	sys, err := buildSystem(c.Scheme, c.mut())
-	if err != nil {
-		return Metrics{}, err
-	}
-	runners := c.Workload.Runners(sys, c.Seed)
-	return measureWindow(sys, runners, c.Txs, c.Sink, c.SinkMask), nil
-}
 
 // quiesceTicks bounds the Tick catch-up loop that lets epoch-driven
 // background machinery observe the drained state.

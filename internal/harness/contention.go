@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"hoop/internal/cc"
 	"hoop/internal/engine"
@@ -48,15 +46,19 @@ type contentionCell struct {
 	seed    uint64
 }
 
-// runContentionCell executes one contention cell and returns its window.
-func runContentionCell(c contentionCell) (Metrics, error) {
-	cfg := engine.DefaultConfig(c.scheme)
+// mut sizes the paper-default config for the cell: one core per thread
+// at least, and aborts enabled for the cc layer.
+func (c contentionCell) mut(cfg *engine.Config) {
 	cfg.Threads = c.threads
 	if c.threads > cfg.Cores {
 		cfg.Cores = c.threads
 	}
 	cfg.Abortable = true
-	sys, err := engine.New(cfg)
+}
+
+// run executes one contention cell and returns its window.
+func (c contentionCell) run() (Metrics, error) {
+	sys, err := buildSystem(c.scheme, c.mut)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -78,84 +80,18 @@ func runContentionCell(c contentionCell) (Metrics, error) {
 	return window(before, takeSnapshot(sys)), nil
 }
 
-// runContentionCells executes the cells on a bounded worker pool,
-// returning metrics in input order (the same pool discipline as RunCells:
-// seeded, independent cells make results worker-count-invariant).
-func runContentionCells(cells []contentionCell, workers int) ([]Metrics, error) {
-	if workers < 1 {
-		workers = 1
+// memo keys a contention cell by its effective engine config, the cc
+// policy, and the workload geometry.
+func (c contentionCell) memo() (string, []any) {
+	cfg, ok := memoConfig(c.scheme, c.mut)
+	if !ok {
+		return kindContention, nil
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	results := make([]Metrics, len(cells))
-	errs := make([]error, len(cells))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
-					return
-				}
-				results[i], errs[i] = runContentionCell(cells[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			c := cells[i]
-			return nil, fmt.Errorf("harness: contention %s/%s theta=%.1f threads=%d: %w",
-				c.scheme, c.policy, c.theta, c.threads, err)
-		}
-	}
-	return results, nil
+	return kindContention, []any{c.policy, c.theta, contentionKeys, contentionOpsPerTx, c.txs, c.seed, cfg}
 }
 
-// runContentionCellsCached is runContentionCells behind the run's cell
-// cache (kindContention entries): memoized cells skip execution, misses
-// run on the normal pool and are stored afterwards. Results are
-// byte-identical with and without the cache.
-func runContentionCellsCached(cells []contentionCell, opts Options) ([]Metrics, error) {
-	cache, err := opts.ensureCache()
-	if err != nil {
-		return nil, err
-	}
-	if cache == nil {
-		return runContentionCells(cells, opts.workers())
-	}
-	mets := make([]Metrics, len(cells))
-	keys := make([]string, len(cells))
-	var batch []contentionCell
-	var batchIdx []int
-	for i, c := range cells {
-		if key, ok := cache.contentionKey(c); ok {
-			keys[i] = key
-			if met, hit := cache.loadMetrics(key, kindContention); hit {
-				mets[i] = met
-				continue
-			}
-		}
-		batch = append(batch, c)
-		batchIdx = append(batchIdx, i)
-	}
-	res, err := runContentionCells(batch, opts.workers())
-	if err != nil {
-		return nil, err
-	}
-	for k, i := range batchIdx {
-		mets[i] = res[k]
-		if keys[i] != "" {
-			if err := cache.storeMetrics(keys[i], kindContention, cells[i].scheme, res[k]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return mets, nil
+func (c contentionCell) String() string {
+	return fmt.Sprintf("contention %s/%s theta=%.1f threads=%d", c.scheme, c.policy, c.theta, c.threads)
 }
 
 // contentionColName renders one sweep point.
@@ -187,7 +123,7 @@ func ContentionFigure(opts Options) (*Grid, *Grid, error) {
 			}
 		}
 	}
-	metrics, err := runContentionCellsCached(cells, opts)
+	metrics, _, err := runMemoized(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

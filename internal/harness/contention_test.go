@@ -86,14 +86,14 @@ func TestContentionAbortsObserved(t *testing.T) {
 		t.Skip("runs simulation cells")
 	}
 	for _, pol := range cc.Policies {
-		m, err := runContentionCell(contentionCell{
+		m, err := contentionCell{
 			scheme:  engine.SchemeNative,
 			policy:  pol,
 			theta:   1.2,
 			threads: 8,
 			txs:     800,
 			seed:    1,
-		})
+		}.run()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"reflect"
 	"testing"
 
 	"hoop/internal/crashtest"
@@ -9,55 +8,31 @@ import (
 	"hoop/internal/workload"
 )
 
-// TestRegistryRoundTrip builds every registered workload by name and holds
-// each to the record/replay equivalence property on all seven schemes:
-// capture on the first scheme, replay everywhere, and compare both the
-// Metrics window and the final durable image against direct execution.
-// This is the registry's contract with the matrix pipeline — anything
-// Register'd is matrix-safe, including the scan ops of YCSB-E and the
-// abort-injecting read-modify-writes of YCSB-F.
+// TestRegistryRoundTrip builds every registered workload by name and runs
+// it on all seven schemes through RunMatrixOn: every cell must commit
+// exactly the requested transactions. This is the registry's contract
+// with the matrix — anything Register'd is matrix-safe, including the
+// scan ops of YCSB-E and the abort-injecting read-modify-writes of YCSB-F.
 func TestRegistryRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every registered workload on every scheme")
 	}
 	const txs = 60
-	small := workload.Options{Keys: 256}
 	for _, name := range workload.Registered() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			wl, err := workload.Build(name, small)
+			wl, err := workload.Build(name, workload.Options{Keys: 256})
 			if err != nil {
 				t.Fatal(err)
 			}
-			capCell := Cell{Scheme: engine.AllSchemes[0], Workload: wl, Txs: txs, Seed: 5, Mut: smallMut}
-			capMet, cap, _, err := captureCellRun(capCell)
+			m, err := RunMatrixOn(Options{Seed: 5, Workers: 1, TxsPerCell: txs}, []workload.Workload{wl}, engine.AllSchemes)
 			if err != nil {
-				t.Fatalf("capture: %v", err)
-			}
-			col := &matrixColumn{workload: wl.Name, cap: cap}
-			if _, err := col.finalizeFromCapture(false); err != nil {
 				t.Fatal(err)
 			}
 			for _, scheme := range engine.AllSchemes {
-				cell := Cell{Scheme: scheme, Workload: wl, Txs: txs, Seed: 5, Mut: smallMut}
-				directSys, err := buildSystem(scheme, cell.mut())
-				if err != nil {
-					t.Fatal(err)
-				}
-				directMet := measureWindow(directSys, wl.Runners(directSys, cell.Seed), txs, nil, 0)
-				repMet, repSys, err := replayCellRun(cell, col)
-				if err != nil {
-					t.Fatalf("%s: replay: %v", scheme, err)
-				}
-				if !reflect.DeepEqual(directMet, repMet) {
-					t.Errorf("%s: replay metrics diverge\ndirect: %+v\nreplay: %+v", scheme, directMet, repMet)
-				}
-				if !storesEqual(directSys.Durable(), repSys.Durable()) {
-					t.Errorf("%s: replay durable image diverges from direct execution", scheme)
-				}
-				if scheme == capCell.Scheme && !reflect.DeepEqual(directMet, capMet) {
-					t.Errorf("capture metrics diverge from direct\ndirect: %+v\ncapture: %+v", directMet, capMet)
+				if got := m.Cells[wl.Name][scheme].Txs; got != txs {
+					t.Errorf("%s: committed %d transactions, want %d", scheme, got, txs)
 				}
 			}
 		})

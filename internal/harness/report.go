@@ -127,11 +127,7 @@ func RunSections(w io.Writer, opts Options, sections []string) (*Report, error) 
 			rep.Profile.LLCMissRatio*100, rep.Profile.EvictBufHitFrac*100)
 		fmt.Fprint(w, FormatPhaseBreakdown(m))
 		fmt.Fprintf(w, "Matrix pool: %s\n", m.Stats)
-		if m.Captures > 0 {
-			fmt.Fprintf(w, "Matrix captures: %d captures for %d cells (executed %d)\n",
-				m.Captures, m.Stats.Cells, m.CapturesRun)
-		}
-		if opts.CacheDir != "" && !opts.DirectMatrix && opts.Trace == nil {
+		if opts.CacheDir != "" && opts.Trace == nil {
 			fmt.Fprintf(w, "Matrix cache: %d/%d cells cached (executed %d) in %s\n",
 				m.Stats.Cached, m.Stats.Cells, m.Stats.Cells-m.Stats.Cached, opts.CacheDir)
 		}

@@ -10,9 +10,8 @@ import (
 // HOOP's slice packing and the log-structured baselines behave very
 // differently at 64 B than at 64 KB — and range-scan share, which the
 // YCSB A–F suite's ordered backend makes measurable. Both run through the
-// shared matrix pipeline, so they inherit record-once/replay-many
-// execution, the cell cache, and bit-identical results at every worker
-// count.
+// shared matrix pipeline, so they inherit the cell cache and bit-identical
+// results at every worker count.
 
 // sweepOpts sizes the sweep cells. A 64 KB-value transaction moves three
 // orders of magnitude more data than a 64 B one, so the sweeps run far

@@ -149,7 +149,7 @@ func TableIV(opts Options) (*Grid, error) {
 		}
 	}
 	opts.attachTrace("tableIV", cells)
-	mets, _, err := runCellsCached(cells, opts)
+	mets, _, err := runMemoized(cells, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -53,19 +53,16 @@ func WearOn(opts Options, scheme string) (WearReport, error) {
 		c.Hoop.CommitLogBytes = 1 << 20
 		c.Hoop.GCPeriod = 500 * sim.Microsecond
 	}
-	cache, err := opts.ensureCache()
-	if err != nil {
-		return WearReport{}, err
+	var parts []any
+	if cfg, ok := memoConfig(scheme, mut); ok {
+		parts = []any{"hashmap", opts.WL, opts.Seed, txs, cfg}
 	}
-	var key string
-	if cache != nil {
-		if k, ok := cache.wearKey(scheme, mut, txs, opts); ok {
-			key = k
-			if rep, hit := cache.loadWear(k); hit {
-				return rep, nil
-			}
-		}
-	}
+	return memo(opts, kindWear, parts, func() (WearReport, error) { return runWear(opts, scheme, mut, txs) })
+}
+
+// runWear executes one wear experiment and summarizes the device's wear
+// counters.
+func runWear(opts Options, scheme string, mut func(*engine.Config), txs int) (WearReport, error) {
 	sys, err := buildSystem(scheme, mut)
 	if err != nil {
 		return WearReport{}, err
@@ -110,11 +107,6 @@ func WearOn(opts Options, scheme string) (WearReport, error) {
 	_, _, _, homeTotal := dev.WearInRegion(layout.Home)
 	if total > 0 {
 		rep.HomeOOPRatio = float64(homeTotal) / float64(total)
-	}
-	if key != "" {
-		if err := cache.storeWear(key, scheme, rep); err != nil {
-			return WearReport{}, err
-		}
 	}
 	return rep, nil
 }

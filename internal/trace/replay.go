@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -52,119 +51,48 @@ func (r *Recorder) Err() error { return r.err }
 // Count reports recorded ops.
 func (r *Recorder) Count() int64 { return r.w.Count() }
 
-func (r *Recorder) record(op Op) {
+// Emit implements telemetry.Sink: per-op events become trace Ops, all
+// other kinds are ignored. A store op's Data aliases e.Data, which is only
+// valid for the duration of Emit; the writer copies what it keeps.
+func (r *Recorder) Emit(e telemetry.Event) {
+	if r.err != nil {
+		return
+	}
+	if e.Core < 0 || int64(e.Core) > 0xFFFF {
+		// The format's thread field is uint16; wrapping would route ops
+		// to the wrong replay env, so fail the recording instead.
+		r.err = fmt.Errorf("trace: core %d does not fit the format's uint16 thread field", e.Core)
+		return
+	}
+	op := Op{Thread: uint16(e.Core)}
+	switch e.Kind {
+	case telemetry.KindTxBegin:
+		op.Kind = OpTxBegin
+	case telemetry.KindTxCommit:
+		op.Kind = OpTxEnd
+	case telemetry.KindTxAbort:
+		op.Kind = OpTxAbort
+	case telemetry.KindLoad:
+		op.Kind, op.Addr, op.Size = OpLoad, e.Addr, uint32(e.Bytes)
+	case telemetry.KindStore:
+		op.Kind, op.Addr, op.Size, op.Data = OpStore, e.Addr, uint32(len(e.Data)), e.Data
+	case telemetry.KindScan:
+		// Scan ops reuse the header fields for accounting: Size is the
+		// item count (Aux), Addr the value bytes the scan read (Bytes).
+		op.Kind, op.Addr, op.Size = OpScan, mem.PAddr(e.Bytes), uint32(e.Aux)
+	default:
+		return
+	}
 	if err := r.w.Write(op); err != nil {
 		r.err = fmt.Errorf("trace: recording failed: %w", err)
 	}
 }
 
-// opFromEvent converts one per-op telemetry event into a trace Op.
-// ok is false for kinds outside RecordMask; err is set when the event
-// cannot be represented (core outside the uint16 thread field). The
-// returned op's Data aliases e.Data, which is only valid for the duration
-// of Emit — callers that keep the op must copy (OpSink's arena) or encode
-// immediately (Recorder's writer).
-func opFromEvent(e telemetry.Event) (op Op, ok bool, err error) {
-	if e.Core < 0 || int64(e.Core) > 0xFFFF {
-		// The format's thread field is uint16; wrapping would route ops
-		// to the wrong replay env, so fail the recording instead.
-		return Op{}, false, fmt.Errorf("trace: core %d does not fit the format's uint16 thread field", e.Core)
-	}
-	th := uint16(e.Core)
-	switch e.Kind {
-	case telemetry.KindTxBegin:
-		return Op{Kind: OpTxBegin, Thread: th}, true, nil
-	case telemetry.KindTxCommit:
-		return Op{Kind: OpTxEnd, Thread: th}, true, nil
-	case telemetry.KindTxAbort:
-		return Op{Kind: OpTxAbort, Thread: th}, true, nil
-	case telemetry.KindLoad:
-		return Op{Kind: OpLoad, Thread: th, Addr: e.Addr, Size: uint32(e.Bytes)}, true, nil
-	case telemetry.KindStore:
-		return Op{Kind: OpStore, Thread: th, Addr: e.Addr, Size: uint32(len(e.Data)), Data: e.Data}, true, nil
-	case telemetry.KindScan:
-		// Scan ops reuse the header fields for accounting: Size is the
-		// item count (Aux), Addr the value bytes the scan read (Bytes).
-		return Op{Kind: OpScan, Thread: th, Addr: mem.PAddr(e.Bytes), Size: uint32(e.Aux)}, true, nil
-	}
-	return Op{}, false, nil
-}
-
-// Emit implements telemetry.Sink: per-op events become trace Ops, all
-// other kinds are ignored.
-func (r *Recorder) Emit(e telemetry.Event) {
-	if r.err != nil {
-		return
-	}
-	op, ok, err := opFromEvent(e)
-	if err != nil {
-		r.err = err
-		return
-	}
-	if ok {
-		r.record(op)
-	}
-}
-
 var _ telemetry.Sink = (*Recorder)(nil)
 
-// OpSink is a telemetry.Sink that collects ops in memory, skipping the
-// wire encoding entirely — the capture stage of the matrix pipeline uses
-// it so recording costs one struct append per op instead of an encode
-// plus a later decode. Store payloads are copied into a grow-only arena
-// (events only alias the written bytes during Emit), so collection does
-// one bulk allocation per 64 KiB of payload rather than one per store.
-// Same sticky-error contract as Recorder.
-type OpSink struct {
-	Ops   []Op
-	arena byteArena
-	err   error
-}
-
-// Emit implements telemetry.Sink.
-func (s *OpSink) Emit(e telemetry.Event) {
-	if s.err != nil {
-		return
-	}
-	op, ok, err := opFromEvent(e)
-	if err != nil {
-		s.err = err
-		return
-	}
-	if ok {
-		if len(op.Data) > 0 {
-			cp := s.arena.alloc(len(op.Data))
-			copy(cp, op.Data)
-			op.Data = cp
-		}
-		s.Ops = append(s.Ops, op)
-	}
-}
-
-// Err reports the sticky collection error, if any.
-func (s *OpSink) Err() error { return s.err }
-
-var _ telemetry.Sink = (*OpSink)(nil)
-
-// WriteOps serializes ops in the wire format.
-func WriteOps(ops []Op) ([]byte, error) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, op := range ops {
-		if err := w.Write(op); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// ApplyOp issues one recorded op against env. buf is a scratch buffer for
-// load destinations, grown as needed and returned for reuse; pass nil on
-// the first call.
-func ApplyOp(env *engine.Env, op Op, buf []byte) ([]byte, error) {
+// applyOp issues one recorded op against env. buf is a scratch buffer for
+// load destinations, grown as needed and returned for reuse.
+func applyOp(env *engine.Env, op Op, buf []byte) ([]byte, error) {
 	switch op.Kind {
 	case OpTxBegin:
 		env.TxBegin()
@@ -206,7 +134,7 @@ func (rp *replayer) apply(op Op) error {
 		return fmt.Errorf("trace: op for thread %d but system has %d threads", op.Thread, len(rp.envs))
 	}
 	var err error
-	rp.buf, err = ApplyOp(rp.envs[op.Thread], op, rp.buf)
+	rp.buf, err = applyOp(rp.envs[op.Thread], op, rp.buf)
 	if op.Kind == OpTxEnd {
 		rp.txs++
 	}
@@ -233,15 +161,4 @@ func Replay(sys *engine.System, r io.Reader) (int64, error) {
 			return rp.txs, err
 		}
 	}
-}
-
-// ReplayOps is Replay over an already-decoded op slice.
-func ReplayOps(sys *engine.System, ops []Op) (int64, error) {
-	rp := newReplayer(sys)
-	for _, op := range ops {
-		if err := rp.apply(op); err != nil {
-			return rp.txs, err
-		}
-	}
-	return rp.txs, nil
 }

@@ -189,45 +189,18 @@ func TestV2AbortAndWideThreadRoundtrip(t *testing.T) {
 	}
 }
 
-// encodeV1 hand-builds a v1 trace (14-byte op headers, uint8 thread).
-func encodeV1(ops []Op) []byte {
-	var buf bytes.Buffer
-	var h [8]byte
-	binary.LittleEndian.PutUint32(h[0:], magic)
-	binary.LittleEndian.PutUint32(h[4:], version1)
-	buf.Write(h[:])
-	for _, op := range ops {
-		var oh [opHeaderV1]byte
-		oh[0] = op.Kind
-		oh[1] = uint8(op.Thread)
-		binary.LittleEndian.PutUint64(oh[2:], uint64(op.Addr))
-		binary.LittleEndian.PutUint32(oh[10:], op.Size)
-		buf.Write(oh[:])
-		buf.Write(op.Data)
-	}
-	return buf.Bytes()
-}
-
-func TestReaderAcceptsV1(t *testing.T) {
-	ops := []Op{
-		{Kind: OpTxBegin, Thread: 1},
-		{Kind: OpStore, Thread: 1, Addr: 0x80, Size: 2, Data: []byte{0xAA, 0xBB}},
-		{Kind: OpTxEnd, Thread: 1},
-	}
-	got, err := NewReader(bytes.NewReader(encodeV1(ops))).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[1].Thread != 1 || got[1].Addr != 0x80 || !bytes.Equal(got[1].Data, []byte{0xAA, 0xBB}) {
-		t.Fatalf("v1 decode mismatch: %+v", got)
-	}
-}
-
-func TestReaderRejectsV1Abort(t *testing.T) {
-	raw := encodeV1([]Op{{Kind: OpTxBegin, Thread: 0}, {Kind: OpTxAbort, Thread: 0}})
-	_, err := NewReader(bytes.NewReader(raw)).ReadAll()
-	if err == nil || !strings.Contains(err.Error(), "abort") {
-		t.Fatalf("v1 trace with abort op must be rejected, got %v", err)
+// TestReaderRejectsPreV3 holds the retired fixed-header formats to a
+// clear error: a v1 or v2 trace (even one carrying ops those formats could
+// hold) must fail on its header and ask for a re-recording.
+func TestReaderRejectsPreV3(t *testing.T) {
+	for _, ver := range []uint32{1, 2} {
+		raw := binary.LittleEndian.AppendUint32(nil, magic)
+		raw = binary.LittleEndian.AppendUint32(raw, ver)
+		raw = append(raw, OpTxBegin, 0, 0) // the start of a v1/v2 op header
+		_, err := NewReader(bytes.NewReader(raw)).ReadAll()
+		if err == nil || !strings.Contains(err.Error(), "re-record it with the current hooptrace") {
+			t.Errorf("v%d trace must be rejected with a re-record error, got %v", ver, err)
+		}
 	}
 }
 
@@ -347,34 +320,5 @@ func TestRecordReplayAbortEquivalence(t *testing.T) {
 		if srcHome.ReadWord(a) != dstHome.ReadWord(a) {
 			t.Fatalf("source and replay diverge at %v", a)
 		}
-	}
-}
-
-func TestSplitTxs(t *testing.T) {
-	ops := []Op{
-		{Kind: OpLoad, Thread: 1, Addr: 0, Size: 8}, // pre-tx op attaches forward
-		{Kind: OpTxBegin, Thread: 0},
-		{Kind: OpTxBegin, Thread: 1},
-		{Kind: OpStore, Thread: 0, Addr: 8, Size: 8, Data: make([]byte, 8)},
-		{Kind: OpTxAbort, Thread: 1},
-		{Kind: OpTxEnd, Thread: 0},
-		{Kind: OpTxBegin, Thread: 0},
-		{Kind: OpTxEnd, Thread: 0},
-	}
-	txs, err := SplitTxs(ops, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(txs[0]) != 2 || len(txs[1]) != 1 {
-		t.Fatalf("segment counts: t0=%d t1=%d", len(txs[0]), len(txs[1]))
-	}
-	if len(txs[1][0]) != 3 || txs[1][0][0].Kind != OpLoad || txs[1][0][2].Kind != OpTxAbort {
-		t.Fatalf("thread 1 segment wrong: %v", txs[1][0])
-	}
-	if _, err := SplitTxs([]Op{{Kind: OpTxBegin, Thread: 5}}, 2); err == nil {
-		t.Fatal("out-of-range thread must fail")
-	}
-	if _, err := SplitTxs([]Op{{Kind: OpTxBegin, Thread: 0}}, 1); err == nil {
-		t.Fatal("trailing open transaction must fail")
 	}
 }

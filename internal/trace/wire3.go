@@ -52,6 +52,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"hoop/internal/mem"
 )
@@ -83,6 +84,15 @@ const (
 
 	chunkHeaderLen = 13
 	flagDeflate    = 1
+
+	// maxChunkSection bounds each section of a chunk, before and after
+	// inflation: a Writer closes a chunk once its pending bytes reach
+	// chunkTarget, so a section holds under chunkTarget bytes plus the
+	// closing op, whose payload is at most maxStoreSize (a delta encoding
+	// is shorter than the raw payload by construction), plus deflate
+	// framing. The same rule caps a chunk's op count at chunkTarget.
+	maxChunkSection = 2 << 20
+	sectionStep     = 64 << 10
 )
 
 func zigzag(d int64) uint64   { return uint64(d<<1) ^ uint64(d>>63) }
@@ -295,6 +305,10 @@ func (e *wire3Enc) emitChunk(w io.Writer) error {
 
 type wire3Dec struct {
 	wire3Model
+	// hdr and lim are read scratch kept in the (heap-resident) decoder so
+	// per-chunk reads allocate no header buffer or limit wrapper.
+	hdr   [chunkHeaderLen]byte
+	lim   io.LimitedReader
 	queue []Op
 	qpos  int
 	out   byteArena // materialized delta/tail payloads
@@ -314,8 +328,8 @@ func (d *wire3Dec) read(r *bufio.Reader) (Op, error) {
 }
 
 func (d *wire3Dec) readChunk(r *bufio.Reader) error {
-	var h [chunkHeaderLen]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
+	h := d.hdr[:]
+	if _, err := io.ReadFull(r, h); err != nil {
 		if err == io.EOF {
 			return io.EOF
 		}
@@ -325,25 +339,58 @@ func (d *wire3Dec) readChunk(r *bufio.Reader) error {
 	dataLen := binary.LittleEndian.Uint32(h[4:])
 	opCount := binary.LittleEndian.Uint32(h[8:])
 	flags := h[12]
-	if opLen > 1<<30 || dataLen > 1<<30 || opCount > 1<<28 {
+	if opLen > maxChunkSection || dataLen > maxChunkSection || opCount > chunkTarget {
 		return fmt.Errorf("trace: unreasonable chunk header (%d op bytes, %d data bytes, %d ops)", opLen, dataLen, opCount)
 	}
-	opBytes := make([]byte, opLen)
-	if _, err := io.ReadFull(r, opBytes); err != nil {
-		return fmt.Errorf("trace: reading op stream: %w", err)
+	opBytes, err := d.readSection(r, opLen, "op stream")
+	if err != nil {
+		return err
 	}
-	arena := make([]byte, dataLen)
-	if _, err := io.ReadFull(r, arena); err != nil {
-		return fmt.Errorf("trace: reading data arena: %w", err)
+	arena, err := d.readSection(r, dataLen, "data arena")
+	if err != nil {
+		return err
 	}
 	if flags&flagDeflate != 0 {
-		raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(opBytes)))
+		d.lim = io.LimitedReader{R: flate.NewReader(bytes.NewReader(opBytes)), N: maxChunkSection + 1}
+		raw, err := io.ReadAll(&d.lim)
 		if err != nil {
 			return fmt.Errorf("trace: inflating op stream: %w", err)
 		}
+		if len(raw) > maxChunkSection {
+			return fmt.Errorf("trace: op stream inflates past %d bytes", maxChunkSection)
+		}
 		opBytes = raw
 	}
+	// Every op takes at least one byte of op stream.
+	if int(opCount) > len(opBytes) {
+		return fmt.Errorf("trace: chunk claims %d ops in %d op-stream bytes", opCount, len(opBytes))
+	}
 	return d.decodeChunk(opBytes, arena, int(opCount))
+}
+
+// readSection reads exactly n bytes of one chunk section. The buffer
+// starts at most sectionStep bytes and doubles only as bytes arrive, so a
+// header that overstates its payload costs only the bytes present.
+func (d *wire3Dec) readSection(r io.Reader, n uint32, what string) ([]byte, error) {
+	d.lim = io.LimitedReader{R: r, N: int64(n)}
+	b := make([]byte, 0, min(int(n), sectionStep))
+	for len(b) < int(n) {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(int(n)-len(b), len(b)))
+		}
+		m, err := d.lim.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: reading %s: %w", what, err)
+		}
+	}
+	if len(b) != int(n) {
+		return nil, fmt.Errorf("trace: reading %s: %w (%d of %d bytes)", what, io.ErrUnexpectedEOF, len(b), n)
+	}
+	return b, nil
 }
 
 // decodeChunk rebuilds opCount ops. Raw store payloads alias the arena;

@@ -204,6 +204,26 @@ func TestReaderRejectsPreV3(t *testing.T) {
 	}
 }
 
+// TestReaderRejectsV1Abort feeds a complete v1 trace whose body carries an
+// abort op (which v1 could never express): it must still fail on its header,
+// before any op is decoded.
+func TestReaderRejectsV1Abort(t *testing.T) {
+	raw := binary.LittleEndian.AppendUint32(nil, magic)
+	raw = binary.LittleEndian.AppendUint32(raw, 1)
+	for _, kind := range []uint8{OpTxBegin, OpTxAbort} {
+		var oh [14]byte // v1 op header: kind u8, thread u8, addr u64le, size u32le
+		oh[0] = kind
+		raw = append(raw, oh[:]...)
+	}
+	ops, err := NewReader(bytes.NewReader(raw)).ReadAll()
+	if err == nil || !strings.Contains(err.Error(), "re-record it with the current hooptrace") {
+		t.Fatalf("v1 trace with abort op must be rejected with a re-record error, got %v", err)
+	}
+	if len(ops) != 0 {
+		t.Fatalf("rejected v1 trace decoded %d ops", len(ops))
+	}
+}
+
 // failAfter errors once more than n bytes have been written.
 type failAfter struct{ n int }
 

@@ -7,7 +7,7 @@
 //	hoopbench [-quick] [-seed N] [-workers N] [-trace out.jsonl]
 //	          [-workloads ycsb-a,ycsb-e] [-suite ycsb]
 //	          [-sections tables,fig7-9,tableIV,fig10,fig11,fig12,fig13,sweep-valsize,sweep-scan,contention,area]
-//	          [-cachedir dir] [-cachemax bytes] [-cachestats]
+//	          [-cachedir dir] [-cachestats]
 //	          [-cpuprofile out.pprof] [-memprofile out.pprof]
 package main
 
@@ -31,7 +31,6 @@ func main() {
 	charts := flag.Bool("charts", false, "also render each grid as ASCII bar charts")
 	artifacts := flag.String("artifacts", "", "directory to write per-figure JSON artifacts into")
 	cachedir := flag.String("cachedir", "", "directory memoizing cells across runs (created if missing; reruns only execute cells whose inputs changed)")
-	cachemax := flag.Int64("cachemax", 0, "cap -cachedir at this many bytes, evicting least-recently-used cells (0 = unlimited)")
 	cachestats := flag.Bool("cachestats", false, "print an inventory of -cachedir (entries by kind, bytes, orphaned temps) and exit")
 	sections := flag.String("sections", strings.Join(harness.AllSections, ","),
 		"comma-separated experiment sections to run (extras: "+strings.Join(harness.ExtraSections, ", ")+")")
@@ -62,7 +61,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts := harness.Options{Quick: *quick, Seed: common.Seed, Charts: *charts, ArtifactDir: *artifacts,
-		Workers: common.Workers, CacheDir: *cachedir, CacheMax: *cachemax,
+		Workers: common.Workers, CacheDir: *cachedir,
 		Suite: suite}
 	if common.Trace != "" {
 		opts.Trace = &harness.TraceCollector{}

@@ -152,6 +152,6 @@ func replay(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  throughput        %.3f M tx/s\n", float64(txs)/span.Seconds()/1e6)
 		fmt.Fprintf(out, "  avg tx latency    %v\n", sys.Snapshot().TxLatencySum/sim.Duration(txs))
 	}
-	fmt.Fprintf(out, "  NVM bytes written %d\n", sys.Stats().Get("nvm.bytes_written"))
+	fmt.Fprintf(out, "  NVM bytes written %d\n", sys.Stats().Get(sim.StatNVMBytesWritten))
 	return nil
 }

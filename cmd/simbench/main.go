@@ -245,8 +245,8 @@ func benchmarks() map[string]func(b *testing.B) {
 				env.TxEnd()
 			}
 		},
-		// Decode one 256-transaction recording from the compact (v3) wire
-		// format back into ops — the read side of hooptrace dump/replay.
+		// Decode one 256-transaction recording from the trace wire format
+		// back into ops — the read side of hooptrace dump/replay.
 		// One iteration = one full trace decode (1536 ops), so ns/op tracks
 		// whole-trace latency.
 		"replay_decode": func(b *testing.B) {

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -59,7 +58,7 @@ type memoEntry struct {
 
 // cacheStats counts one section's cache traffic.
 type cacheStats struct {
-	Hits, Misses, Evictions int
+	Hits, Misses            int
 	BytesRead, BytesWritten int64
 }
 
@@ -70,10 +69,6 @@ type cacheStats struct {
 // workers never touch it.
 type cellCache struct {
 	dir string
-	max int64 // byte cap; <= 0 means unlimited
-	// used marks keys loaded or stored during this run: eviction skips
-	// them, so a tiny cap never deletes what this run just produced.
-	used map[string]bool
 	// section labels hit/miss attribution; RunSections rotates it.
 	section string
 	order   []string
@@ -95,7 +90,7 @@ func openCellCache(opts Options) (*cellCache, error) {
 	if err := os.MkdirAll(opts.CacheDir, 0o755); err != nil {
 		return nil, fmt.Errorf("harness: -cachedir: %w", err)
 	}
-	cc := &cellCache{dir: opts.CacheDir, max: opts.CacheMax, used: map[string]bool{}, stats: map[string]*cacheStats{}}
+	cc := &cellCache{dir: opts.CacheDir, stats: map[string]*cacheStats{}}
 	cc.sweepTemps()
 	return cc, nil
 }
@@ -151,17 +146,16 @@ func (cc *cellCache) statsReport() string {
 	var tot cacheStats
 	for _, name := range cc.order {
 		s := cc.stats[name]
-		fmt.Fprintf(&b, "  %-14s %d hits, %d misses, %s read, %s written, %d evicted\n",
-			name+":", s.Hits, s.Misses, fmtBytes(s.BytesRead), fmtBytes(s.BytesWritten), s.Evictions)
+		fmt.Fprintf(&b, "  %-14s %d hits, %d misses, %s read, %s written\n",
+			name+":", s.Hits, s.Misses, fmtBytes(s.BytesRead), fmtBytes(s.BytesWritten))
 		tot.Hits += s.Hits
 		tot.Misses += s.Misses
-		tot.Evictions += s.Evictions
 		tot.BytesRead += s.BytesRead
 		tot.BytesWritten += s.BytesWritten
 	}
 	if len(cc.order) > 1 {
-		fmt.Fprintf(&b, "  %-14s %d hits, %d misses, %s read, %s written, %d evicted\n",
-			"total:", tot.Hits, tot.Misses, fmtBytes(tot.BytesRead), fmtBytes(tot.BytesWritten), tot.Evictions)
+		fmt.Fprintf(&b, "  %-14s %d hits, %d misses, %s read, %s written\n",
+			"total:", tot.Hits, tot.Misses, fmtBytes(tot.BytesRead), fmtBytes(tot.BytesWritten))
 	}
 	return b.String()
 }
@@ -202,11 +196,10 @@ func (cc *cellCache) load(key, kind string, v any) bool {
 	s := cc.stat()
 	s.Hits++
 	s.BytesRead += int64(len(raw))
-	cc.markUsed(key)
 	return true
 }
 
-// store writes v as the entry under key, then enforces the byte cap.
+// store writes v as the entry under key.
 func (cc *cellCache) store(key, kind string, v any) error {
 	val, err := json.Marshal(v)
 	if err != nil {
@@ -216,11 +209,7 @@ func (cc *cellCache) store(key, kind string, v any) error {
 	if err != nil {
 		return fmt.Errorf("harness: cache: %w", err)
 	}
-	if err := cc.writeFile(key+".json", data); err != nil {
-		return err
-	}
-	cc.markUsed(key)
-	return cc.enforceMax()
+	return cc.writeFile(key+".json", data)
 }
 
 // memo returns the value memoized under (kind, parts), computing and
@@ -293,61 +282,6 @@ func runMemoized[J job](jobs []J, opts Options) ([]Metrics, CellStats, error) {
 		stats.Workers = opts.workers()
 	}
 	return mets, stats, nil
-}
-
-// markUsed records that this run touched key — it is pinned against
-// eviction for the rest of the run — and refreshes the entry's file
-// timestamp, which is the cache's LRU clock.
-func (cc *cellCache) markUsed(key string) {
-	cc.used[key] = true
-	now := time.Now()
-	os.Chtimes(filepath.Join(cc.dir, key+".json"), now, now)
-}
-
-// enforceMax evicts least-recently-used entries until the cache fits the
-// byte cap, ordered by file modification time (loads refresh it via
-// markUsed) with the name as a deterministic tiebreak. Keys used during
-// this run are pinned. Eviction failures degrade to a larger cache, never
-// to an error: the cache is an optimization.
-func (cc *cellCache) enforceMax() error {
-	if cc.max <= 0 {
-		return nil
-	}
-	ents, err := os.ReadDir(cc.dir)
-	if err != nil {
-		return nil
-	}
-	var total int64
-	var order []fs.FileInfo
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || filepath.Ext(name) != ".json" {
-			continue
-		}
-		info, err := ent.Info()
-		if err != nil {
-			continue
-		}
-		total += info.Size()
-		if !cc.used[strings.TrimSuffix(name, ".json")] {
-			order = append(order, info)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if !order[i].ModTime().Equal(order[j].ModTime()) {
-			return order[i].ModTime().Before(order[j].ModTime())
-		}
-		return order[i].Name() < order[j].Name()
-	})
-	for _, info := range order {
-		if total <= cc.max {
-			break
-		}
-		os.Remove(filepath.Join(cc.dir, info.Name()))
-		total -= info.Size()
-		cc.stat().Evictions++
-	}
-	return nil
 }
 
 // writeFile writes via a temp file + rename so an interrupted run never

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +11,8 @@ import (
 	"time"
 
 	"hoop/internal/engine"
+	"hoop/internal/sim"
+	"hoop/internal/telemetry"
 	"hoop/internal/workload"
 )
 
@@ -101,59 +105,6 @@ func TestCellCacheCorruptionDegradesToMiss(t *testing.T) {
 	}
 }
 
-// TestCellCacheLRUEviction: with a byte cap (-cachemax), the least
-// recently used entries are evicted whole — an evicted column re-executes
-// with bit-identical numbers, while entries touched by the capped run
-// survive and keep hitting.
-func TestCellCacheLRUEviction(t *testing.T) {
-	dir := t.TempDir()
-	schemes := []string{engine.SchemeRedo, engine.SchemeHOOP}
-	wlA := []workload.Workload{quickWL("queue")}
-	wlB := []workload.Workload{quickWL("hashmap")}
-	base := Options{Quick: true, Seed: 3, Workers: 1, CacheDir: dir}
-
-	coldA, err := RunMatrixOn(base, wlA, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizeA := cacheDirSize(t, dir)
-	if sizeA <= 0 {
-		t.Fatal("cold run left an empty cache")
-	}
-
-	// Run column B under a cap that cannot hold both columns: A's entries
-	// (older, untouched by this run) are evicted; B's, pinned as used,
-	// survive.
-	capped := base
-	capped.CacheMax = sizeA
-	if _, err := RunMatrixOn(capped, wlB, schemes); err != nil {
-		t.Fatal(err)
-	}
-	// Only B's two cell entries remain on disk.
-	if entries, err := filepath.Glob(filepath.Join(dir, "*.json")); err != nil || len(entries) != 2 {
-		t.Fatalf("expected A's entries evicted leaving 2, got %v (%v)", entries, err)
-	}
-
-	warmB, err := RunMatrixOn(capped, wlB, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmB.Stats.Cached != warmB.Stats.Cells {
-		t.Fatalf("surviving column cached %d/%d cells, want all", warmB.Stats.Cached, warmB.Stats.Cells)
-	}
-
-	rerunA, err := RunMatrixOn(base, wlA, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rerunA.Stats.Cached != 0 {
-		t.Fatalf("evicted column still hit the cache (%d cells)", rerunA.Stats.Cached)
-	}
-	if !reflect.DeepEqual(coldA.Cells, rerunA.Cells) {
-		t.Fatal("re-executed metrics diverge from the pre-eviction run")
-	}
-}
-
 // TestCellCacheSweepsStaleTemps: opening the cache removes temp files
 // orphaned by a dead run, but leaves fresh ones (a concurrent run may
 // still be mid-rename) and real entries alone.
@@ -237,20 +188,60 @@ func TestWearCacheWarmRerun(t *testing.T) {
 	}
 }
 
-// cacheDirSize sums the cache entries' bytes.
-func cacheDirSize(t *testing.T, dir string) int64 {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+// FuzzCellCacheEntry: whatever bytes sit in <key>.json, load never
+// panics; it hits only for an entry that parses as {schema, kind, value}
+// under the current schema and the requested kind with a value that
+// decodes; and a hit, stored back and loaded again, yields the same value.
+func FuzzCellCacheEntry(f *testing.F) {
+	dir := f.TempDir()
+	cc := &cellCache{dir: dir, stats: map[string]*cacheStats{}}
+	const key = "0ff"
+	path := filepath.Join(dir, key+".json")
+	m := Metrics{Txs: 12, Aborts: 1, Span: 3 * sim.Microsecond, LatencySum: 9 * sim.Microsecond,
+		BytesWritten: 4096, BytesRead: 512, EnergyPJ: 1.5e6, Loads: 40, Stores: 64,
+		Counters: map[string]int64{sim.StatNVMBytesWritten: 4096},
+		Phases:   []telemetry.KindCount{{Kind: telemetry.KindTxCommit, N: 12}}}
+	m.Latency.Observe(250 * sim.Nanosecond)
+	m.Latency.Observe(2 * sim.Microsecond)
+	if err := cc.store(key, kindCell, m); err != nil {
+		f.Fatal(err)
 	}
-	var total int64
-	for _, e := range ents {
-		info, err := e.Info()
-		if err != nil {
+	entry, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var probe Metrics
+	if !cc.load(key, kindCell, &probe) || !reflect.DeepEqual(probe, m) {
+		f.Fatalf("real entry does not load back: %+v", probe)
+	}
+	f.Add(entry)
+	f.Add(bytes.Replace(entry, []byte(cacheSchema), []byte("hoop-cellcache/v3"), 1))
+	f.Add(bytes.Replace(entry, []byte(`"kind":"cell"`), []byte(`"kind":"wear"`), 1))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		total += info.Size()
-	}
-	return total
+		var got Metrics
+		hit := cc.load(key, kindCell, &got)
+		var e memoEntry
+		var want Metrics
+		wellFormed := json.Unmarshal(raw, &e) == nil && e.Schema == cacheSchema && e.Kind == kindCell &&
+			json.Unmarshal(e.Value, &want) == nil
+		if hit != wellFormed {
+			t.Fatalf("load hit=%v for an entry that is well-formed=%v: %q", hit, wellFormed, raw)
+		}
+		if !hit {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("hit decoded %+v, want %+v", got, want)
+		}
+		if err := cc.store(key, kindCell, got); err != nil {
+			t.Fatal(err)
+		}
+		var again Metrics
+		if !cc.load(key, kindCell, &again) || !reflect.DeepEqual(again, got) {
+			t.Fatalf("stored hit does not load back unchanged: %+v vs %+v", again, got)
+		}
+	})
 }

@@ -50,10 +50,6 @@ type Options struct {
 	// Suite, when non-empty, replaces the paper suite in the shared
 	// Figure 7–9 matrix (hoopbench -suite / -workloads).
 	Suite []workload.Workload
-	// CacheMax, when positive, caps the on-disk cell cache (CacheDir) at
-	// that many bytes; least-recently-used entries are evicted after each
-	// store. Zero means unlimited.
-	CacheMax int64
 	// TxsPerCell, when positive, overrides the measured transactions per
 	// matrix cell (default 24000, or 1200 in Quick mode). The sweep
 	// sections use it: a 64 KB-value transaction moves three orders of

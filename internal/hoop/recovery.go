@@ -254,8 +254,8 @@ func (s *Scheme) recoverInternal(threads int) (sim.Duration, RecoveryReport, err
 		ModeledTime:    modeled,
 	}
 	s.emitRecoveryPhase(telemetry.RecoveryPhaseClear, int64(headersReset)*mem.LineSize)
-	s.ctx.Stats.Add("recovery.txs", int64(len(recs)))
-	s.ctx.Stats.Add("recovery.words", int64(len(words)))
+	s.ctx.Stats.Counter("recovery.txs").Add(int64(len(recs)))
+	s.ctx.Stats.Counter("recovery.words").Add(int64(len(words)))
 	return modeled, rep, nil
 }
 

@@ -150,9 +150,10 @@ func TestRandShuffleIsPermutation(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	s := NewStats()
-	s.Inc("a")
-	s.Add("a", 4)
-	s.Set("b", 10)
+	a := s.Counter("a")
+	a.Inc()
+	a.Add(4)
+	s.Counter("b").Add(10)
 	if s.Get("a") != 5 || s.Get("b") != 10 || s.Get("missing") != 0 {
 		t.Fatalf("counters wrong: %v", s.Snapshot())
 	}

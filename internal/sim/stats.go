@@ -14,8 +14,8 @@ import (
 //
 // Counters are interned: Counter returns a stable handle whose Inc/Add are
 // a plain int64 bump with no map hash, for call sites that fire on every
-// simulated event. The name-keyed Add/Inc/Set/Get remain for cold paths
-// and out-of-tree schemes; both routes update the same underlying value.
+// simulated event. Every write goes through a handle; Get and Snapshot
+// read the same underlying values by name.
 type Stats struct {
 	counters map[string]*Counter
 	order    []string
@@ -54,15 +54,6 @@ func (s *Stats) Counter(name string) *Counter {
 	s.order = append(s.order, name)
 	return c
 }
-
-// Add increments counter name by delta, creating it on first use.
-func (s *Stats) Add(name string, delta int64) { s.Counter(name).v += delta }
-
-// Inc increments counter name by one.
-func (s *Stats) Inc(name string) { s.Counter(name).v++ }
-
-// Set overwrites counter name.
-func (s *Stats) Set(name string, v int64) { s.Counter(name).v = v }
 
 // Get reports counter name (zero if never touched).
 //

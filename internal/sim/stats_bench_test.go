@@ -2,26 +2,8 @@ package sim
 
 import "testing"
 
-// Stats sits on every simulated event (NVM access, cache hit, tx commit),
-// so its increment cost multiplies into every experiment's wall-clock.
-
-func BenchmarkStatsIncByName(b *testing.B) {
-	s := NewStats()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Inc(StatNVMWrites)
-	}
-}
-
-func BenchmarkStatsAddByName(b *testing.B) {
-	s := NewStats()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Add(StatNVMBytesWritten, 64)
-	}
-}
+// Latency histograms sit on every simulated transaction, so their observe
+// cost multiplies into every experiment's wall-clock.
 
 func BenchmarkHistogramObserve(b *testing.B) {
 	var h Histogram

@@ -154,7 +154,7 @@ func TestReplayThreadBoundsChecked(t *testing.T) {
 	}
 }
 
-func TestV2AbortAndWideThreadRoundtrip(t *testing.T) {
+func TestAbortAndWideThreadRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	ops := []Op{
@@ -189,14 +189,14 @@ func TestV2AbortAndWideThreadRoundtrip(t *testing.T) {
 	}
 }
 
-// TestReaderRejectsPreV3 holds the retired fixed-header formats to a
-// clear error: a v1 or v2 trace (even one carrying ops those formats could
-// hold) must fail on its header and ask for a re-recording.
-func TestReaderRejectsPreV3(t *testing.T) {
-	for _, ver := range []uint32{1, 2} {
+// TestReaderRejectsPreV4 holds the retired formats to a clear error: a
+// v1, v2 or v3 trace (even one carrying ops those formats could hold) must
+// fail on its header and ask for a re-recording.
+func TestReaderRejectsPreV4(t *testing.T) {
+	for _, ver := range []uint32{1, 2, 3} {
 		raw := binary.LittleEndian.AppendUint32(nil, magic)
 		raw = binary.LittleEndian.AppendUint32(raw, ver)
-		raw = append(raw, OpTxBegin, 0, 0) // the start of a v1/v2 op header
+		raw = append(raw, OpTxBegin, 0, 0) // the start of a v1/v2 op header or a v3 chunk
 		_, err := NewReader(bytes.NewReader(raw)).ReadAll()
 		if err == nil || !strings.Contains(err.Error(), "re-record it with the current hooptrace") {
 			t.Errorf("v%d trace must be rejected with a re-record error, got %v", ver, err)
@@ -242,8 +242,8 @@ func (f *failAfter) Write(p []byte) (int, error) {
 
 func TestRecorderErrorIsSticky(t *testing.T) {
 	rec := NewRecorder(&failAfter{n: 16})
-	// Varied payloads defeat the v3 compactor (dict/delta), so encoded
-	// bytes accumulate and force a chunk emit well before 8192 events.
+	// Varied payloads defeat the compressor, so encoded bytes reach the
+	// failing writer well before 8192 events.
 	for i := 0; i < 8192; i++ {
 		data := make([]byte, 64)
 		for w := 0; w < 8; w++ {

@@ -10,20 +10,18 @@ import (
 	"testing"
 )
 
-// craftedChunk builds a v3 trace of one chunk whose header claims opLen
-// op-stream bytes, dataLen arena bytes and opCount ops, followed by body.
-func craftedChunk(opLen, dataLen, opCount uint32, flags byte, body []byte) []byte {
+// crafted builds a v4 trace from the header and body, byte for byte.
+func crafted(body ...[]byte) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, magic)
 	b = binary.LittleEndian.AppendUint32(b, version)
-	b = binary.LittleEndian.AppendUint32(b, opLen)
-	b = binary.LittleEndian.AppendUint32(b, dataLen)
-	b = binary.LittleEndian.AppendUint32(b, opCount)
-	b = append(b, flags)
-	return append(b, body...)
+	for _, p := range body {
+		b = append(b, p...)
+	}
+	return b
 }
 
-// deflated compresses p the way the Writer compresses op streams.
-func deflated(t testing.TB, p []byte) []byte {
+// member deflates p into one complete member, the way the Writer does.
+func member(t testing.TB, p []byte) []byte {
 	var buf bytes.Buffer
 	fw, err := flate.NewWriter(&buf, flate.DefaultCompression)
 	if err != nil {
@@ -34,22 +32,31 @@ func deflated(t testing.TB, p []byte) []byte {
 	return buf.Bytes()
 }
 
-// TestReaderCraftedChunkAllocs: chunk headers that overstate their
-// contents must fail without allocating what they claim. The 21-byte
-// input (an empty chunk claiming 1<<26 ops) once cost a 3 GiB op queue.
+// uv appends uvarints to a record prefix.
+func uv(rec []byte, us ...uint64) []byte {
+	for _, u := range us {
+		rec = binary.AppendUvarint(rec, u)
+	}
+	return rec
+}
+
+// TestReaderCraftedChunkAllocs: members whose records overstate or
+// corrupt their contents must fail without allocating what they claim.
 func TestReaderCraftedChunkAllocs(t *testing.T) {
-	bomb := deflated(t, make([]byte, 8<<20)) // inflates far past maxChunkSection
+	valid := member(t, uv([]byte{OpTxBegin}, 3))
 	cases := []struct {
-		name  string
-		raw   []byte
-		limit uint64 // bytes the failed read may allocate
+		name string
+		raw  []byte
 	}{
-		{"op count without op bytes", craftedChunk(0, 0, 1<<26, 0, nil), 1 << 20},
-		{"op count beyond op bytes", craftedChunk(4, 0, 5, 0, []byte{1, 2, 1, 2}), 1 << 20},
-		{"op stream claimed but absent", craftedChunk(maxChunkSection, 0, 1, 0, []byte{1}), 1 << 20},
-		{"data arena claimed but absent", craftedChunk(1, maxChunkSection, 1, 0, []byte{1}), 1 << 20},
-		{"oversized section", craftedChunk(1<<30, 0, 1, 0, nil), 1 << 20},
-		{"deflate bomb", craftedChunk(uint32(len(bomb)), 0, 1, flagDeflate, bomb), 16 << 20},
+		{"store payload claimed but absent", crafted(member(t, uv([]byte{OpStore}, 0, 0x40, maxStoreSize)))},
+		{"store size out of range", crafted(member(t, uv([]byte{OpStore}, 0, 0x40, maxStoreSize+1)))},
+		{"load size out of range", crafted(member(t, uv([]byte{OpLoad}, 0, 0x40, maxStoreSize+1)))},
+		{"scan item count out of range", crafted(member(t, uv([]byte{OpScan}, 0, 0x40, 1<<32)))},
+		{"thread out of range", crafted(member(t, uv([]byte{OpTxBegin}, 1<<16)))},
+		{"varint overflow", crafted(member(t, append([]byte{OpTxBegin}, bytes.Repeat([]byte{0xFF}, 11)...)))},
+		{"truncated member", crafted(valid[:len(valid)-1])},
+		{"trailing garbage", crafted(valid, []byte{0xFF, 0xFF})},
+		{"deflate bomb of zero bytes", crafted(member(t, make([]byte, 8<<20)))},
 	}
 	for _, c := range cases {
 		var before, after runtime.MemStats
@@ -60,12 +67,9 @@ func TestReaderCraftedChunkAllocs(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: crafted %d-byte trace decoded without error", c.name, len(c.raw))
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > c.limit {
-			t.Errorf("%s: failed read allocated %d bytes, limit %d", c.name, got, c.limit)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: failed read allocated %d bytes, limit %d", c.name, got, 1<<20)
 		}
-	}
-	if n := len(craftedChunk(0, 0, 1<<26, 0, nil)); n != 21 {
-		t.Fatalf("regression input is %d bytes, want 21", n)
 	}
 }
 
@@ -74,14 +78,14 @@ func TestReaderCraftedChunkAllocs(t *testing.T) {
 // consumed whole, so the same bytes minus the last must fail. A clean
 // decode must also re-encode and decode back to the same ops.
 func FuzzTraceReader(f *testing.F) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v3.trc"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v4.trc"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(golden)
 	f.Add(golden[:len(golden)/2])
-	f.Add(craftedChunk(0, 0, 1<<26, 0, nil))
-	f.Add(craftedChunk(3, 0, 2, 0, []byte{leadTxBegin, leadTxEnd, leadTxAbort}))
+	f.Add(crafted(member(f, uv([]byte{OpStore}, 0, 0x40, maxStoreSize))))
+	f.Add(crafted(member(f, uv([]byte{OpTxBegin}, 2, uint64(OpTxEnd), 2)), member(f, uv([]byte{OpTxAbort}, 1))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, err := NewReader(bytes.NewReader(data)).ReadAll()
 		if err != nil {

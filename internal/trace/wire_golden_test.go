@@ -14,10 +14,9 @@ import (
 
 var updateWire = flag.Bool("update", false, "rewrite the wire-format golden fixtures from this run")
 
-// goldenOps walks every op kind and every store encoding mode: raw (first
-// sight of a payload), dictionary (exact repeat), and per-word delta (a
-// near-miss of a cached line), plus uint16 threads, forward and backward
-// address deltas, and both load sizes.
+// goldenOps walks every op kind, one- to three-byte thread varints up to
+// the uint16 limit, store payloads from 3 to 64 bytes (including a repeat
+// and a one-word near-miss of a line), and loads of several sizes.
 func goldenOps() []Op {
 	line := make([]byte, 64)
 	for i := range line {
@@ -90,7 +89,7 @@ func TestWireGoldenFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "golden_v3.trc")
+	path := filepath.Join("testdata", "golden_v4.trc")
 	if *updateWire {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -114,9 +113,8 @@ func TestWireGoldenFixtures(t *testing.T) {
 }
 
 // randomOps generates a valid random op stream: arbitrary interleaving of
-// kinds across uint16 threads, stores from 1 byte to past the dict's 64-byte
-// limit, payload distributions that exercise raw, delta, and dictionary
-// encodings, and addresses that stress the per-thread signed deltas.
+// kinds across uint16 threads, stores from 1 to 200 bytes with fresh,
+// repeated and near-miss payloads, and addresses up to 2^40.
 func randomOps(r *rand.Rand, n int) []Op {
 	hot := make([]byte, 64)
 	r.Read(hot)
@@ -141,11 +139,11 @@ func randomOps(r *rand.Rand, n int) []Op {
 			size := []int{1, 7, 8, 63, 64, 65, 200}[r.Intn(7)]
 			data := make([]byte, size)
 			switch r.Intn(3) {
-			case 0: // fresh random payload (raw mode)
+			case 0: // fresh random payload
 				r.Read(data)
-			case 1: // repeat of a hot payload (dict mode)
+			case 1: // repeat of a hot payload
 				copy(data, hot)
-			case 2: // near-miss of the hot payload (delta mode)
+			case 2: // near-miss of the hot payload
 				copy(data, hot)
 				data[r.Intn(size)] ^= byte(1 + r.Intn(255))
 			}
@@ -155,10 +153,10 @@ func randomOps(r *rand.Rand, n int) []Op {
 	return ops
 }
 
-// TestWireV3RoundtripProperty is the quick-check property: any valid op
-// stream round-trips through the v3 encoder bit for bit — kinds, threads,
+// TestWireRoundtripProperty is the quick-check property: any valid op
+// stream round-trips through the encoder bit for bit — kinds, threads,
 // addresses, sizes, payloads, scan item counts.
-func TestWireV3RoundtripProperty(t *testing.T) {
+func TestWireRoundtripProperty(t *testing.T) {
 	prop := func(seed int64, nRaw uint16) bool {
 		r := rand.New(rand.NewSource(seed))
 		ops := randomOps(r, int(nRaw%512))
@@ -192,10 +190,10 @@ func TestWireV3RoundtripProperty(t *testing.T) {
 	}
 }
 
-// TestWireV3MidStreamFlush: Flush is a chunk boundary, not a terminator —
+// TestWireMidStreamFlush: Flush is a member boundary, not a terminator —
 // a trace written across many flushes decodes identically to one written
-// in a single burst (the dict/delta model persists across chunks).
-func TestWireV3MidStreamFlush(t *testing.T) {
+// in a single burst.
+func TestWireMidStreamFlush(t *testing.T) {
 	ops := goldenOps()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)

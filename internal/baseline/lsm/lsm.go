@@ -66,11 +66,11 @@ type Scheme struct {
 	cursor  mem.PAddr
 	epoch   uint32
 
-	index     *skiplist.List    // home word addr -> log data addr
-	lineWords u64map.Map[int32] // home line -> log-resident word count
-	records   []record          // volatile mirror of live log records
-	committed u64map.Set        // tx committed since last GC
-	liveTx    u64map.Map[int32] // live tx -> record count
+	index     *skiplist.List        // home word addr -> log data addr
+	lineWords u64map.Map[int32]     // home line -> log-resident word count
+	records   []record              // volatile mirror of live log records
+	committed u64map.Set            // tx committed since last GC
+	liveTx    u64map.Map[liveEntry] // live tx -> record count, first record
 
 	// GC coalescing scratch, epoch-cleared and reused across passes.
 	gcWords u64map.Map[[mem.WordSize]byte]
@@ -85,6 +85,11 @@ type Scheme struct {
 	statGCScanned   *sim.Counter
 	statGCMigrated  *sim.Counter
 }
+
+// liveEntry is one live transaction's entry: the number of data records it
+// has appended, and the index in records its first record can occupy (the
+// length of records at TxBegin), where TxAbort starts its scan.
+type liveEntry struct{ n, first int }
 
 // record mirrors one live log record.
 type record struct {
@@ -218,7 +223,7 @@ func (s *Scheme) appendRecord(tx persist.TxID, addr mem.PAddr, data []byte) (at 
 // TxBegin implements persist.Scheme.
 func (s *Scheme) TxBegin(core int, now sim.Time) (persist.TxID, sim.Time) {
 	tx := s.alloc.Next()
-	s.liveTx.Put(uint64(tx), 0)
+	s.liveTx.Put(uint64(tx), liveEntry{first: len(s.records)})
 	return tx, now
 }
 
@@ -234,7 +239,7 @@ func (s *Scheme) Store(core int, tx persist.TxID, addr mem.PAddr, val []byte, no
 			Tx: uint64(tx), Addr: at, Bytes: int64(recTraffic(len(val))),
 		})
 	}
-	*s.liveTx.Ref(uint64(tx))++
+	s.liveTx.Ref(uint64(tx)).n++
 	var hops int
 	for off := 0; off < len(val); off += mem.WordSize {
 		w := addr + mem.PAddr(off)
@@ -250,7 +255,7 @@ func (s *Scheme) Store(core int, tx persist.TxID, addr mem.PAddr, val []byte, no
 // TxEnd implements persist.Scheme: drain the posted appends, then persist
 // the commit record with a fence.
 func (s *Scheme) TxEnd(core int, tx persist.TxID, now sim.Time) sim.Time {
-	if n, _ := s.liveTx.Get(uint64(tx)); n > 0 {
+	if lt, _ := s.liveTx.Get(uint64(tx)); lt.n > 0 {
 		now = s.ctx.Ctrl.Drain(core, now)
 		at, _ := s.appendRecord(tx, commitSentinel, nil)
 		now = s.ctx.Ctrl.Write(at, recTraffic(0), now)
@@ -275,10 +280,13 @@ func (s *Scheme) TxEnd(core int, tx persist.TxID, now sim.Time) sim.Time {
 // the index entries and per-line word counts the aborted stores installed
 // are removed (a software walk, so the skip-list hop cost lands on the
 // critical path), and the live-transaction entry is dropped — GC defers
-// while any transaction is live, and an aborted one must not pin it.
+// while any transaction is live, and an aborted one must not pin it. The
+// scan starts at the transaction's first possible record: the log only
+// resets under GC, which never runs while the transaction is live.
 func (s *Scheme) TxAbort(core int, tx persist.TxID, now sim.Time) sim.Time {
 	var hops, words int
-	for i := range s.records {
+	lt, _ := s.liveTx.Get(uint64(tx))
+	for i := lt.first; i < len(s.records); i++ {
 		r := &s.records[i]
 		if r.tx != tx || r.addr == commitSentinel {
 			continue

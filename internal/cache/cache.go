@@ -12,6 +12,7 @@
 package cache
 
 import (
+	"math/bits"
 	"sort"
 
 	"hoop/internal/mem"
@@ -504,7 +505,11 @@ func (h *Hierarchy) FlushLine(a mem.PAddr, invalidate bool) (dirty, persistent b
 			persistent = persistent || old.persistent
 		}
 	}
-	for c := 0; c < h.cfg.Cores; c++ {
+	// Only cores whose presence bit is set can hold the line privately
+	// (the mask is exact or a superset), and a probe that misses changes
+	// nothing, so skipping the others is exact.
+	for mask := h.present.get(idx); mask != 0; mask &= mask - 1 {
+		c := bits.TrailingZeros32(mask)
 		fold(h.l1[c])
 		fold(h.l2[c])
 	}

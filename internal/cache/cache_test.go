@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"hoop/internal/mem"
@@ -171,5 +172,92 @@ func TestConfigGeometry(t *testing.T) {
 	}
 	if cfg.LLCSize != 2<<20 || cfg.LLCWays != 16 {
 		t.Fatal("LLC must be 2MB 16-way (Table II)")
+	}
+}
+
+// fullScanFlush is the reference FlushLine: it probes every core's L1 and
+// L2, whatever the presence index says, then the LLC.
+func fullScanFlush(h *Hierarchy, a mem.PAddr, invalidate bool) (dirty, persistent bool) {
+	idx := mem.LineIndex(a)
+	fold := func(l *level) {
+		var old line
+		var ok bool
+		if invalidate {
+			old, ok = l.invalidate(idx)
+		} else if ln := l.lookup(idx); ln != nil {
+			old, ok = *ln, true
+			ln.dirty = false
+		}
+		if ok && old.dirty {
+			dirty = true
+			persistent = persistent || old.persistent
+		}
+	}
+	for c := 0; c < h.cfg.Cores; c++ {
+		fold(h.l1[c])
+		fold(h.l2[c])
+	}
+	fold(h.llc)
+	if invalidate {
+		h.present.set(idx, 0)
+	}
+	return dirty, persistent
+}
+
+// TestFlushLineMatchesFullScan drives one random Lookup/Fill/FlushLine
+// stream from 6 cores into two hierarchies — one flushing through the
+// presence-directed FlushLine, the other through the full-scan reference —
+// over small levels, so evictions, back-invalidations and cross-core write
+// invalidations are frequent. Every result, the final DirtyEvictions and
+// every tag array must match.
+func TestFlushLineMatchesFullScan(t *testing.T) {
+	cfg := DefaultConfig(6)
+	cfg.L1Size, cfg.L1Ways = 8*mem.LineSize, 2
+	cfg.L2Size, cfg.L2Ways = 16*mem.LineSize, 4
+	cfg.LLCSize, cfg.LLCWays = 32*mem.LineSize, 4
+	got, ref := New(cfg, sim.NewStats()), New(cfg, sim.NewStats())
+	rng := sim.NewRand(0xF1A5)
+	var flushes, dirtyFlushes int
+	for step := 0; step < 20000; step++ {
+		core := rng.Intn(cfg.Cores)
+		a := addr(rng.Intn(96))
+		write, pers := rng.Bool(0.4), rng.Bool(0.5)
+		if rng.Bool(0.15) {
+			inval := rng.Bool(0.5)
+			gd, gp := got.FlushLine(a, inval)
+			rd, rp := fullScanFlush(ref, a, inval)
+			if gd != rd || gp != rp {
+				t.Fatalf("step %d: FlushLine(%#x, %v) = (%v, %v), full scan (%v, %v)", step, a, inval, gd, gp, rd, rp)
+			}
+			flushes++
+			if gd {
+				dirtyFlushes++
+			}
+			continue
+		}
+		gr := got.Lookup(core, a, write, pers)
+		rr := ref.Lookup(core, a, write, pers)
+		if gr.HitLevel != rr.HitLevel || gr.Latency != rr.Latency || !slices.Equal(gr.Writebacks, rr.Writebacks) {
+			t.Fatalf("step %d: Lookup diverged: %+v vs %+v", step, gr, rr)
+		}
+		if gr.HitLevel == 0 {
+			if g, r := got.Fill(core, a, write, pers), ref.Fill(core, a, write, pers); !slices.Equal(g, r) {
+				t.Fatalf("step %d: Fill evictions diverged: %+v vs %+v", step, g, r)
+			}
+		}
+	}
+	if flushes < 1000 || dirtyFlushes < 100 {
+		t.Fatalf("only %d flushes (%d dirty); the stream must exercise FlushLine", flushes, dirtyFlushes)
+	}
+	if g, r := got.DirtyEvictions(), ref.DirtyEvictions(); !slices.Equal(g, r) {
+		t.Fatalf("DirtyEvictions diverged:\n got %+v\n ref %+v", g, r)
+	}
+	for c := 0; c < cfg.Cores; c++ {
+		if !slices.Equal(got.l1[c].meta, ref.l1[c].meta) || !slices.Equal(got.l2[c].meta, ref.l2[c].meta) {
+			t.Fatalf("core %d private tag arrays diverged", c)
+		}
+	}
+	if !slices.Equal(got.llc.meta, ref.llc.meta) {
+		t.Fatal("LLC tag arrays diverged")
 	}
 }

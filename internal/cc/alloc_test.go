@@ -1,20 +1,24 @@
 package cc
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"hoop/internal/engine"
 	"hoop/internal/mem"
 )
 
-// benchRunner builds a single-thread abortable system and a fixed 4-word
-// read-modify-write source whose Next allocates nothing, so steady-state
-// measurements see only the policy's own cost.
-func benchRunner(tb testing.TB, policy Policy) (*Runner, []TxSource) {
+// benchRunner builds an abortable system of the given thread count whose
+// threads all run one fixed 4-word read-modify-write body over a shared
+// line; Next allocates nothing, so steady-state measurements see only the
+// policy's own cost, and with more than one thread every transaction
+// conflicts.
+func benchRunner(tb testing.TB, policy Policy, threads int) (*Runner, []TxSource) {
 	tb.Helper()
 	cfg := engine.DefaultConfig(engine.SchemeNative)
-	cfg.Cores, cfg.Threads, cfg.Cache.Cores = 1, 1, 1
-	cfg.Ctrl.Agents = 3
+	cfg.Cores, cfg.Threads, cfg.Cache.Cores = threads, threads, threads
+	cfg.Ctrl.Agents = threads + 2
 	cfg.NVM.Capacity = 1 << 30
 	cfg.OOPBytes = 64 << 20
 	cfg.Abortable = true
@@ -33,7 +37,10 @@ func benchRunner(tb testing.TB, policy Policy) (*Runner, []TxSource) {
 			tx.WriteWord(a, v+1)
 		}
 	}
-	srcs := []TxSource{TxSourceFunc(func() TxFunc { return body })}
+	srcs := make([]TxSource, threads)
+	for i := range srcs {
+		srcs[i] = TxSourceFunc(func() TxFunc { return body })
+	}
 	return r, srcs
 }
 
@@ -43,7 +50,7 @@ func benchRunner(tb testing.TB, policy Policy) (*Runner, []TxSource) {
 // a long measured run amortizes the per-Run overhead (quota slice, one
 // goroutine spawn) below 0.05 allocs/tx.
 func perTxAllocs(tb testing.TB, policy Policy) float64 {
-	r, srcs := benchRunner(tb, policy)
+	r, srcs := benchRunner(tb, policy, 1)
 	r.Run(srcs, 200)
 	const txs = 1000
 	return testing.AllocsPerRun(1, func() { r.Run(srcs, txs) }) / txs
@@ -71,15 +78,43 @@ func TestLockTableAllocBudget(t *testing.T) {
 
 // BenchmarkCCTx4 measures one committed 4-word read-modify-write
 // transaction through the cc layer's step scheduler under each policy —
-// the op-granularity yield protocol plus the policy's bookkeeping.
+// the op-granularity yield protocol plus the policy's bookkeeping. With one
+// thread every pick selects the yielding thread itself, so no step is
+// ever handed to another goroutine; BenchmarkCCTx4Contended (in
+// contended_test.go) measures the handoff path.
 func BenchmarkCCTx4(b *testing.B) {
 	for _, policy := range Policies {
 		b.Run(string(policy), func(b *testing.B) {
-			r, srcs := benchRunner(b, policy)
+			r, srcs := benchRunner(b, policy, 1)
 			r.Run(srcs, 200) // steady state
 			b.ReportAllocs()
 			b.ResetTimer()
 			r.Run(srcs, b.N)
 		})
+	}
+}
+
+// TestRunLeavesNoGoroutines checks that Run returns only after every
+// thread goroutine it started has exited, under both policies with 8
+// contending threads.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	for _, policy := range Policies {
+		r, srcs := benchRunner(t, policy, 8)
+		before := runtime.NumGoroutine()
+		r.Run(srcs, 400)
+		// Run waits for each goroutine's final WaitGroup.Done; a goroutine
+		// may still be returning from that call, so allow it a moment to
+		// unwind. A goroutine still parked in the scheduler never will.
+		after := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			after = runtime.NumGoroutine()
+		}
+		if after > before {
+			t.Errorf("%s: %d goroutines before Run, %d after", policy, before, after)
+		}
+		if got := r.sys.Snapshot().Txs; got != 400 {
+			t.Errorf("%s: %d committed transactions, want 400", policy, got)
+		}
 	}
 }

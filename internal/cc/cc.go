@@ -11,18 +11,24 @@
 //
 // Execution model: engine.System.Run interleaves whole transactions, which
 // can never conflict. The cc.Runner instead interleaves at *operation*
-// granularity: each thread's transaction body runs in its own goroutine
-// that parks before every operation, and a central scheduler grants one
-// step at a time to the runnable thread with the smallest simulated clock
-// (ties to the lowest thread id). Exactly one goroutine is ever running, so
-// the interleaving is deterministic, race-free, and reproducible bit-for-
-// bit — yet transactions are genuinely concurrent in simulated time, so a
-// lock request can find its line held by a parked transaction and wound-
-// wait has someone to wound.
+// granularity: each thread's transaction body runs in its own goroutine,
+// and at every yield point (begin, each ReadWord/WriteWord, commit, a
+// blocked lock request, finishing its quota) the yielding thread itself
+// picks the next thread to step: the runnable thread with the smallest
+// simulated clock (ties to the lowest thread id). If it picks itself it
+// carries on without parking; otherwise it hands the step directly to the
+// picked thread's goroutine and parks until some thread hands a step back.
+// The pick runs at exactly these yield points over the same scheduler
+// state, so the interleaving is a pure function of the inputs. Exactly one
+// goroutine is ever running, so the interleaving is deterministic, race-
+// free, and reproducible bit-for-bit — yet transactions are genuinely
+// concurrent in simulated time, so a lock request can find its line held
+// by a parked transaction and wound-wait has someone to wound.
 package cc
 
 import (
 	"fmt"
+	"sync"
 
 	"hoop/internal/engine"
 	"hoop/internal/mem"
@@ -99,7 +105,9 @@ type Runner struct {
 	policy  policy
 	threads []*thread
 
-	stepDone chan *thread
+	// live counts the threads that have not finished their quota; the
+	// thread that brings it to zero hands no step on, and Run returns.
+	live int
 	// lockEpoch increments whenever any lock is released (or a holder is
 	// wounded); blocked threads only become runnable again when the epoch
 	// has moved past the one they blocked under, so a failed re-check
@@ -163,11 +171,7 @@ func New(sys *engine.System, cfg Config) (*Runner, error) {
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = 10000
 	}
-	r := &Runner{
-		sys:      sys,
-		cfg:      cfg,
-		stepDone: make(chan *thread),
-	}
+	r := &Runner{sys: sys, cfg: cfg}
 	switch cfg.Policy {
 	case PolicyOCC:
 		r.policy = newOCCPolicy(r)
@@ -216,8 +220,9 @@ type policy interface {
 
 // Run executes totalTxs committed transactions spread round-robin over the
 // sources (one per thread, like engine.System.Run). It returns when every
-// thread has committed its share; aborted attempts retry until they
-// commit, so the committed-transaction count is exact.
+// thread has committed its share and every thread goroutine has exited;
+// aborted attempts retry until they commit, so the committed-transaction
+// count is exact.
 func (r *Runner) Run(sources []TxSource, totalTxs int) {
 	n := len(r.threads)
 	if len(sources) != n {
@@ -227,7 +232,8 @@ func (r *Runner) Run(sources []TxSource, totalTxs int) {
 	for i := 0; i < totalTxs; i++ {
 		quota[i%n]++
 	}
-	live := 0
+	r.live = 0
+	var wg sync.WaitGroup
 	for i, t := range r.threads {
 		t.status = statusReady
 		t.wounded = false
@@ -237,25 +243,20 @@ func (r *Runner) Run(sources []TxSource, totalTxs int) {
 			t.status = statusFinished
 			continue
 		}
-		live++
-		go t.loop(sources[i], quota[i])
+		r.live++
+		wg.Add(1)
+		go func(t *thread, src TxSource, quota int) {
+			defer wg.Done()
+			t.loop(src, quota)
+		}(t, sources[i], quota[i])
 	}
-	// Collect the initial yield of every launched goroutine, then grant
-	// steps until all threads finish their quota.
-	for i := 0; i < live; i++ {
-		<-r.stepDone
+	if r.live > 0 {
+		// Every launched goroutine parks before its first step. Grant the
+		// first; from here on the threads hand steps to each other, and
+		// the last to finish ends the run by exiting.
+		r.handoff(r.pick())
 	}
-	for {
-		t := r.pick()
-		if t == nil {
-			if r.liveCount() == 0 {
-				return
-			}
-			panic("cc: no runnable thread (lock scheduler stuck — wound-wait must prevent deadlock)")
-		}
-		t.resume <- struct{}{}
-		<-r.stepDone
-	}
+	wg.Wait()
 }
 
 // pick selects the next thread to step: the smallest-clock thread that is
@@ -279,26 +280,31 @@ func (r *Runner) pick() *thread {
 	return best
 }
 
-func (r *Runner) liveCount() int {
-	n := 0
-	for _, t := range r.threads {
-		if t.status != statusFinished {
-			n++
-		}
+// handoff grants the next step to t (the result of pick), waking its
+// goroutine. The caller must touch no shared state afterwards until it is
+// itself granted a step again.
+func (r *Runner) handoff(t *thread) {
+	if t == nil {
+		panic("cc: no runnable thread (lock scheduler stuck — wound-wait must prevent deadlock)")
 	}
-	return n
+	t.resume <- struct{}{}
 }
 
 // loop is one thread's goroutine: commit `quota` transactions, retrying
-// aborted attempts with the same body.
+// aborted attempts with the same body, then pass the step on (the last
+// thread to finish has none to pass, and Run returns once it exits).
 func (t *thread) loop(src TxSource, quota int) {
-	t.yield(statusReady) // initial park; Run collects it before granting
+	<-t.resume // initial park; Run or another thread grants the first step
 	for done := 0; done < quota; done++ {
 		body := src.Next()
 		t.runToCommit(body)
 	}
 	t.status = statusFinished
-	t.r.stepDone <- t
+	r := t.r
+	r.live--
+	if r.live > 0 {
+		r.handoff(r.pick())
+	}
 }
 
 // runToCommit executes body until one attempt commits.
@@ -362,12 +368,16 @@ func (t *thread) tryOnce(body TxFunc) (committed bool) {
 	return true
 }
 
-// yield parks the thread until the scheduler grants it a step. A pending
-// wound is consumed here: the grant lands as an abort.
+// yield ends the thread's current step: it picks the next thread to step
+// and, unless that is itself, hands the step over and parks until it is
+// granted one again. A pending wound is consumed here: the grant lands as
+// an abort.
 func (t *thread) yield(status int) {
 	t.status = status
-	t.r.stepDone <- t
-	<-t.resume
+	if next := t.r.pick(); next != t {
+		t.r.handoff(next)
+		<-t.resume
+	}
 	t.status = statusReady
 	if t.wounded {
 		t.wounded = false

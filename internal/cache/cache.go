@@ -12,6 +12,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
 
@@ -22,6 +23,9 @@ import (
 
 // Config sizes the hierarchy. All sizes are in bytes, latencies in
 // simulated time (Table II uses a 2.5 GHz clock: L1 4 cycles, L2 12, LLC 40).
+// Each level's set count, Size / 64 / Ways, must be a power of two: the set
+// index is the low bits of the line index, as in hardware. New panics on
+// any other geometry.
 type Config struct {
 	Cores      int
 	L1Size     int
@@ -64,6 +68,7 @@ type line struct {
 // level is one set-associative tag array.
 type level struct {
 	sets    int
+	setMask uint64 // sets - 1
 	ways    int
 	latency sim.Duration
 	meta    []line
@@ -75,11 +80,16 @@ func newLevel(size, ways int, lat sim.Duration) *level {
 	if sets <= 0 {
 		panic("cache: level too small")
 	}
-	return &level{sets: sets, ways: ways, latency: lat, meta: make([]line, sets*ways)}
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("cache: %d sets (%d B / %d B lines / %d ways) is not a power of two", sets, size, mem.LineSize, ways))
+	}
+	return &level{sets: sets, setMask: uint64(sets - 1), ways: ways, latency: lat, meta: make([]line, sets*ways)}
 }
 
+// set returns the ways of the set line idx maps to: the low bits of the
+// line index, selected by mask (the set count is a power of two).
 func (l *level) set(idx uint64) []line {
-	s := int(idx) % l.sets
+	s := int(idx & l.setMask)
 	return l.meta[s*l.ways : (s+1)*l.ways]
 }
 

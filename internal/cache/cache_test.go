@@ -2,6 +2,7 @@ package cache
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"hoop/internal/mem"
@@ -173,6 +174,22 @@ func TestConfigGeometry(t *testing.T) {
 	if cfg.LLCSize != 2<<20 || cfg.LLCWays != 16 {
 		t.Fatal("LLC must be 2MB 16-way (Table II)")
 	}
+}
+
+// TestNonPowerOfTwoSetsPanics locks the set-count guard: the set index is a
+// mask of the line index, which would alias sets silently for any other
+// count, so New must refuse the geometry outright.
+func TestNonPowerOfTwoSetsPanics(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.LLCSize = 3 << 20 // 3 MB / 64 B / 16 ways = 3072 sets
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "3072 sets") || !strings.Contains(msg, "not a power of two") {
+			t.Fatalf("New with 3072 LLC sets: recovered %v, want a not-a-power-of-two panic", r)
+		}
+	}()
+	New(cfg, sim.NewStats())
 }
 
 // fullScanFlush is the reference FlushLine: it probes every core's L1 and

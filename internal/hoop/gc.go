@@ -1,6 +1,7 @@
 package hoop
 
 import (
+	"math/bits"
 	"slices"
 
 	"hoop/internal/mem"
@@ -10,10 +11,10 @@ import (
 
 // runGC executes one garbage-collection pass (Algorithm 1): scan the
 // committed transactions in reverse commit order, coalesce updates to the
-// same words in a hash map so each home location is written at most once,
-// migrate the newest versions to the home region, advance the durable
-// watermark, drop now-stale mapping-table entries, and recycle fully
-// migrated OOP blocks.
+// same words in a line-keyed hash table so each home location is written
+// at most once and each home line by one device write, migrate the newest
+// versions to the home region, advance the durable watermark, drop
+// now-stale mapping-table entries, and recycle fully migrated OOP blocks.
 //
 // start is when the pass begins; for background GC this is the period
 // boundary, for on-demand GC the stalled core's current time (the paper's
@@ -58,9 +59,10 @@ func (s *Scheme) runGC(start sim.Time, onDemand bool) sim.Time {
 
 		// Lines 5–19: reverse-time-order scan with coalescing. The first
 		// value seen for a word during the reverse scan is the newest.
-		// s.gcWords is the pass-scoped coalescing table, epoch-cleared and
-		// reused so a steady GC cadence performs no allocation.
-		h := &s.gcWords
+		// s.gcLines is the pass-scoped coalescing table, keyed by home
+		// line, epoch-cleared and reused so a steady GC cadence performs
+		// no allocation.
+		h := &s.gcLines
 		h.Clear()
 		var modified, uncoalesced int64
 		store := s.ctx.Dev.Store()
@@ -79,9 +81,7 @@ func (s *Scheme) runGC(start sim.Time, onDemand bool) sim.Time {
 				// reverse order keeps the newest value.
 				for j := ds.Count - 1; j >= 0; j-- {
 					modified += mem.WordSize
-					before := h.Len()
-					wv := h.Ref(uint64(ds.Addrs[j]))
-					if h.Len() != before {
+					if wv, fresh := h.Word(uint64(ds.Addrs[j])); fresh {
 						*wv = ds.Words[j]
 					} else if s.cfg.DisableCoalescing {
 						// Ablation: write the stale version home too (the
@@ -96,24 +96,19 @@ func (s *Scheme) runGC(start sim.Time, onDemand bool) sim.Time {
 		}
 
 		// Lines 20–27: migrate the coalesced set home, one write per home
-		// line, smallest-address first for deterministic device timing.
-		words := h.Keys(s.gcAddrs[:0])
-		s.gcAddrs = words
-		slices.Sort(words)
-
+		// line, smallest address first (lines ascending, words ascending
+		// within a line) for deterministic device timing and persist order.
 		var migrated int64
-		for i := 0; i < len(words); {
-			lineAddr := mem.LineAddr(mem.PAddr(words[i]))
-			j := i
-			for j < len(words) && mem.LineAddr(mem.PAddr(words[j])) == lineAddr {
-				wv, _ := h.Get(words[j])
-				store.Write(mem.PAddr(words[j]), wv[:])
-				j++
+		for _, line := range h.Lines() {
+			lw := h.Line(line)
+			lineAddr := mem.PAddr(line << mem.LineShift)
+			for m := lw.Mask; m != 0; m &= m - 1 {
+				w := bits.TrailingZeros8(m)
+				store.Write(lineAddr+mem.PAddr(w*mem.WordSize), lw.Words[w][:])
 			}
-			n := (j - i) * mem.WordSize
+			n := bits.OnesCount8(lw.Mask) * mem.WordSize
 			t = sim.MaxTime(t, s.ctx.Ctrl.Write(lineAddr, n, arr))
 			migrated += int64(n)
-			line := mem.LineIndex(lineAddr)
 			s.evbuf.add(line)
 			// The home copy is now the newest version unless a live
 			// transaction has written the line since.
@@ -122,7 +117,6 @@ func (s *Scheme) runGC(start sim.Time, onDemand bool) sim.Time {
 					s.lines.Delete(line)
 				}
 			}
-			i = j
 		}
 		migrated += uncoalesced
 		s.gcModifiedBytes += modified

@@ -108,10 +108,9 @@ type Scheme struct {
 	gcAgent     int
 
 	// GC working state, reused across passes (epoch-cleared, never freed):
-	// the coalescing table (newest value per word seen in the reverse scan)
-	// and the key scratch slices.
-	gcWords u64map.Map[[mem.WordSize]byte]
-	gcAddrs []uint64
+	// the line-keyed coalescing table (newest value per word seen in the
+	// reverse scan) and the stale-entry scratch slice.
+	gcLines u64map.LineTable
 	gcStale []uint64
 
 	// abortScratch collects line keys to drop during TxAbort (reused).

@@ -14,17 +14,32 @@ import (
 // split lets crash-consistency tests reason about "what survives a crash"
 // (this store) separately from "how long did it take".
 //
-// The store remembers the last page it touched: simulated traffic is
-// bursty at line/page granularity (slice streaming, log appends, GC
-// migration), so sequential word and line accesses hit the cached page and
-// skip the page-map hash.
+// Pages are found through a two-level table: a map keyed by 16 MB chunk
+// holds a fixed array of page pointers per chunk. The store remembers the
+// last page and the last chunk it created or wrote to: simulated traffic
+// is bursty within a page and within a region (slice streaming, log
+// appends, GC migration, a structure's heap), so most accesses hit the
+// cached page or index the cached chunk's array, and skip the map hash.
 type Store struct {
-	pages map[uint64][]byte
-	obs   WriteObserver
+	chunks map[uint64]*chunk
+	npages int
+	obs    WriteObserver
 
-	lastIdx  uint64
-	lastPage []byte // nil when the cache is empty
+	lastKey   uint64
+	lastChunk *chunk // nil when the cache is empty
+	lastIdx   uint64
+	lastPage  []byte // nil when the cache is empty
 }
+
+// Chunk geometry of the page table: 16 MB chunks of 4096 pages.
+const (
+	chunkShift    = 24
+	pagesPerChunk = 1 << (chunkShift - PageShift)
+)
+
+// chunk is one 16 MB span of the page table; nil entries are pages never
+// written.
+type chunk [pagesPerChunk]*[PageSize]byte
 
 // A WriteObserver is notified after every mutation of the store, decomposed
 // into aligned 8-byte persist units: for each unit overlapping the mutated
@@ -67,28 +82,53 @@ func (s *Store) notifyRange(a PAddr, n uint64) {
 
 // NewStore returns an empty (all-zero) store.
 func NewStore() *Store {
-	return &Store{pages: make(map[uint64][]byte)}
+	return &Store{chunks: make(map[uint64]*chunk)}
 }
 
-// page returns the page backing a, allocating it when create is true.
-// Only the create (mutating) path refreshes the last-page cache: read
-// paths must stay free of writes so concurrent readers remain safe, the
-// same contract the bare map gave (reads may run concurrently, any write
-// requires exclusive access).
+// page returns the page backing a, allocating it when create is true. The
+// fast path, a hit on the last page created or written, is small enough to
+// inline into the word and line accessors.
 func (s *Store) page(a PAddr, create bool) []byte {
-	idx := uint64(a) >> PageShift
-	if s.lastPage != nil && s.lastIdx == idx {
+	if s.lastPage != nil && s.lastIdx == uint64(a)>>PageShift {
 		return s.lastPage
 	}
-	p, ok := s.pages[idx]
-	if !ok && create {
-		p = make([]byte, PageSize)
-		s.pages[idx] = p
+	return s.lookup(a, create)
+}
+
+// lookup is page through the chunk table. Only the create (mutating) path
+// refreshes the last-chunk and last-page caches: read paths must stay free
+// of writes so concurrent readers remain safe, the same contract a bare map
+// gives (reads may run concurrently, any write requires exclusive access).
+func (s *Store) lookup(a PAddr, create bool) []byte {
+	key := uint64(a) >> chunkShift
+	c := s.lastChunk
+	if c == nil || s.lastKey != key {
+		c = s.chunks[key]
+		if c == nil {
+			if !create {
+				return nil
+			}
+			c = new(chunk)
+			s.chunks[key] = c
+		}
+		if create {
+			s.lastKey, s.lastChunk = key, c
+		}
+	}
+	i := uint64(a) >> PageShift & (pagesPerChunk - 1)
+	p := c[i]
+	if p == nil {
+		if !create {
+			return nil
+		}
+		p = new([PageSize]byte)
+		c[i] = p
+		s.npages++
 	}
 	if create {
-		s.lastIdx, s.lastPage = idx, p
+		s.lastIdx, s.lastPage = uint64(a)>>PageShift, p[:]
 	}
-	return p
+	return p[:]
 }
 
 // Read copies len(dst) bytes starting at a into dst. Unwritten memory
@@ -186,16 +226,27 @@ func (s *Store) WriteLine(a PAddr, line [LineSize]byte) {
 // durable state before injecting a crash.
 func (s *Store) Clone() *Store {
 	c := NewStore()
-	for idx, p := range s.pages {
-		cp := make([]byte, PageSize)
-		copy(cp, p)
-		c.pages[idx] = cp
-	}
+	c.copyPages(s)
 	return c
 }
 
+// copyPages deep-copies every page of other into s, which must be empty.
+func (s *Store) copyPages(other *Store) {
+	for key, oc := range other.chunks {
+		c := new(chunk)
+		for i, p := range oc {
+			if p != nil {
+				cp := *p
+				c[i] = &cp
+			}
+		}
+		s.chunks[key] = c
+	}
+	s.npages = other.npages
+}
+
 // PagesAllocated reports how many 4 KB pages have been materialized.
-func (s *Store) PagesAllocated() int { return len(s.pages) }
+func (s *Store) PagesAllocated() int { return s.npages }
 
 // ForEachPage calls fn for every materialized page with its base address
 // and contents, in ascending address order. fn must not modify the store.
@@ -209,16 +260,19 @@ func (s *Store) ForEachPage(fn func(base PAddr, data []byte)) {
 // ForEachPageUntil is ForEachPage with early termination: it stops as soon
 // as fn returns false. Scans that only need a bounded prefix (recovery
 // verification reporting the first few mismatches) avoid walking the rest
-// of the working set.
+// of the working set. Only the chunk keys are sorted; pages within a chunk
+// are visited in array order.
 func (s *Store) ForEachPageUntil(fn func(base PAddr, data []byte) bool) {
-	idxs := make([]uint64, 0, len(s.pages))
-	for idx := range s.pages {
-		idxs = append(idxs, idx)
+	keys := make([]uint64, 0, len(s.chunks))
+	for key := range s.chunks {
+		keys = append(keys, key)
 	}
-	slices.Sort(idxs)
-	for _, idx := range idxs {
-		if !fn(PAddr(idx<<PageShift), s.pages[idx]) {
-			return
+	slices.Sort(keys)
+	for _, key := range keys {
+		for i, p := range s.chunks[key] {
+			if p != nil && !fn(PAddr(key<<chunkShift|uint64(i)<<PageShift), p[:]) {
+				return
+			}
 		}
 	}
 }
@@ -226,18 +280,15 @@ func (s *Store) ForEachPageUntil(fn func(base PAddr, data []byte) bool) {
 // Reset drops every page, returning the store to all-zeros, while keeping
 // the store object (and every pointer to it) valid.
 func (s *Store) Reset() {
-	s.pages = make(map[uint64][]byte)
-	s.lastPage = nil
+	s.chunks = make(map[uint64]*chunk)
+	s.npages = 0
+	s.lastChunk, s.lastPage = nil, nil
 }
 
 // CopyFrom replaces this store's contents with a deep copy of other's.
 func (s *Store) CopyFrom(other *Store) {
 	s.Reset()
-	for idx, p := range other.pages {
-		cp := make([]byte, PageSize)
-		copy(cp, p)
-		s.pages[idx] = cp
-	}
+	s.copyPages(other)
 }
 
 // zeroPage is the shared all-zero source for ZeroRange; it is never

@@ -421,9 +421,9 @@ func (s *Scheme) Recover(threads int) (sim.Duration, error) {
 	var consolidated int64
 	var scanned int64
 	var buf [mem.LineSize]byte
-	store.ForEachPage(func(base mem.PAddr, data []byte) {
+	for base, data := range store.Pages() {
 		if base+mem.PageSize <= s.bitmapBase || base >= bitmapEnd {
-			return
+			continue
 		}
 		scanned += mem.PageSize
 		for off, b := range data {
@@ -445,7 +445,7 @@ func (s *Scheme) Recover(threads int) (sim.Duration, error) {
 				consolidated += mem.LineSize
 			}
 		}
-	})
+	}
 	// Clear the bitmap durably.
 	store.ZeroRange(s.bitmapBase, uint64(bitmapEnd-s.bitmapBase))
 	s.shadowCur.Clear()

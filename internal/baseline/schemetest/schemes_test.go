@@ -141,9 +141,9 @@ func TestDoubleRecoverIdempotent(t *testing.T) {
 				t.Fatalf("second recovery failed: %v", err)
 			}
 			var diffs int
-			ctx.Dev.Store().ForEachPage(func(base mem.PAddr, data []byte) {
+			for base, data := range ctx.Dev.Store().Pages() {
 				if base < home.Base || base >= home.End() {
-					return
+					continue
 				}
 				var want [mem.PageSize]byte
 				first.Read(base, want[:])
@@ -156,7 +156,7 @@ func TestDoubleRecoverIdempotent(t *testing.T) {
 						}
 					}
 				}
-			})
+			}
 			if diffs > 0 {
 				t.Fatalf("second recovery changed %d home-region bytes", diffs)
 			}

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,7 +49,7 @@ func benchRunner(tb testing.TB, policy Policy, threads int) (*Runner, []TxSource
 // a warmup run grows every reused structure (write buffer, read set,
 // validation scratch, lock table, held-lock set) to its steady size, then
 // a long measured run amortizes the per-Run overhead (quota slice, one
-// goroutine spawn) below 0.05 allocs/tx.
+// coroutine per thread) below 0.05 allocs/tx.
 func perTxAllocs(tb testing.TB, policy Policy) float64 {
 	r, srcs := benchRunner(tb, policy, 1)
 	r.Run(srcs, 200)
@@ -79,9 +80,9 @@ func TestLockTableAllocBudget(t *testing.T) {
 // BenchmarkCCTx4 measures one committed 4-word read-modify-write
 // transaction through the cc layer's step scheduler under each policy —
 // the op-granularity yield protocol plus the policy's bookkeeping. With one
-// thread every pick selects the yielding thread itself, so no step is
-// ever handed to another goroutine; BenchmarkCCTx4Contended (in
-// contended_test.go) measures the handoff path.
+// thread every pick selects the yielding thread itself, so no step ever
+// moves to another coroutine; BenchmarkCCTx4Contended (in
+// contended_test.go) measures the coroutine switch path.
 func BenchmarkCCTx4(b *testing.B) {
 	for _, policy := range Policies {
 		b.Run(string(policy), func(b *testing.B) {
@@ -94,27 +95,79 @@ func BenchmarkCCTx4(b *testing.B) {
 	}
 }
 
+// waitGoroutines returns the goroutine count once it is back to before,
+// or after a second. A finished coroutine's goroutine exits as it switches
+// back to Run; the grace covers one still being torn down. A coroutine
+// still suspended at a yield point never exits.
+func waitGoroutines(before int) int {
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	return after
+}
+
 // TestRunLeavesNoGoroutines checks that Run returns only after every
-// thread goroutine it started has exited, under both policies with 8
-// contending threads.
+// thread coroutine it started has finished, under both policies with 8
+// contending threads (each iter.Pull coroutine is a goroutine until its
+// body returns).
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	for _, policy := range Policies {
 		r, srcs := benchRunner(t, policy, 8)
 		before := runtime.NumGoroutine()
 		r.Run(srcs, 400)
-		// Run waits for each goroutine's final WaitGroup.Done; a goroutine
-		// may still be returning from that call, so allow it a moment to
-		// unwind. A goroutine still parked in the scheduler never will.
-		after := runtime.NumGoroutine()
-		for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-			after = runtime.NumGoroutine()
-		}
-		if after > before {
+		if after := waitGoroutines(before); after > before {
 			t.Errorf("%s: %d goroutines before Run, %d after", policy, before, after)
 		}
 		if got := r.sys.Snapshot().Txs; got != 400 {
 			t.Errorf("%s: %d committed transactions, want 400", policy, got)
 		}
+	}
+}
+
+// runPanic runs r and returns the value Run panicked with (nil if none).
+func runPanic(r *Runner, srcs []TxSource, txs int) (v any) {
+	defer func() { v = recover() }()
+	r.Run(srcs, txs)
+	return nil
+}
+
+// TestRunPanicReachesCaller checks that a panic inside a thread — a body's
+// own, or the MaxRetries livelock guard — panics out of Run with the same
+// value, and that Run stops every other thread's coroutine on the way out
+// (they are suspended mid-transaction, holding locks and write buffers).
+func TestRunPanicReachesCaller(t *testing.T) {
+	type sentinel struct{ n int }
+	for _, policy := range Policies {
+		r, srcs := benchRunner(t, policy, 8)
+		boom := &sentinel{n: 42}
+		drawn, inner := 0, srcs[5]
+		srcs[5] = TxSourceFunc(func() TxFunc {
+			if drawn++; drawn < 20 {
+				return inner.Next()
+			}
+			return func(tx Tx) {
+				tx.ReadWord(0)
+				panic(boom)
+			}
+		})
+		before := runtime.NumGoroutine()
+		if got := runPanic(r, srcs, 400); got != any(boom) {
+			t.Fatalf("%s: Run panicked with %v, want the body's sentinel %v", policy, got, boom)
+		}
+		if after := waitGoroutines(before); after > before {
+			t.Errorf("%s: %d goroutines before Run, %d after its panic", policy, before, after)
+		}
+	}
+
+	r, srcs := benchRunner(t, PolicyOCC, 8)
+	r.cfg.MaxRetries = 1
+	before := runtime.NumGoroutine()
+	if got, _ := runPanic(r, srcs, 400).(string); !strings.Contains(got, "exceeded 1 retries") {
+		t.Fatalf("Run panicked with %q, want the MaxRetries livelock guard", got)
+	}
+	if after := waitGoroutines(before); after > before {
+		t.Errorf("MaxRetries: %d goroutines before Run, %d after its panic", before, after)
 	}
 }

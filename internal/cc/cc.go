@@ -11,24 +11,25 @@
 //
 // Execution model: engine.System.Run interleaves whole transactions, which
 // can never conflict. The cc.Runner instead interleaves at *operation*
-// granularity: each thread's transaction body runs in its own goroutine,
+// granularity: each thread's transaction body is an iter.Pull coroutine,
 // and at every yield point (begin, each ReadWord/WriteWord, commit, a
-// blocked lock request, finishing its quota) the yielding thread itself
-// picks the next thread to step: the runnable thread with the smallest
-// simulated clock (ties to the lowest thread id). If it picks itself it
-// carries on without parking; otherwise it hands the step directly to the
-// picked thread's goroutine and parks until some thread hands a step back.
-// The pick runs at exactly these yield points over the same scheduler
-// state, so the interleaving is a pure function of the inputs. Exactly one
-// goroutine is ever running, so the interleaving is deterministic, race-
-// free, and reproducible bit-for-bit — yet transactions are genuinely
-// concurrent in simulated time, so a lock request can find its line held
-// by a parked transaction and wound-wait has someone to wound.
+// blocked lock request, finishing its quota) the yielding thread picks the
+// next thread to step: the runnable thread with the smallest simulated
+// clock (ties to the lowest thread id). If it picks itself it carries on;
+// otherwise it records the pick as the grant and suspends, and Run's one
+// scheduler loop resumes the granted coroutine — a switch out and a switch
+// in, with no channel and no trip through the Go scheduler. The pick runs at
+// exactly these points over the same state, so the interleaving is a pure
+// function of the inputs. Exactly one coroutine ever runs, so the
+// interleaving is deterministic, race-free, and reproducible bit-for-bit —
+// yet transactions are genuinely concurrent in simulated time, so a lock
+// request can find its line held by a suspended transaction and wound-wait
+// has someone to wound.
 package cc
 
 import (
 	"fmt"
-	"sync"
+	"iter"
 
 	"hoop/internal/engine"
 	"hoop/internal/mem"
@@ -105,9 +106,10 @@ type Runner struct {
 	policy  policy
 	threads []*thread
 
-	// live counts the threads that have not finished their quota; the
-	// thread that brings it to zero hands no step on, and Run returns.
-	live int
+	// Run steps grant, the thread the last yield picked, until live (the
+	// threads that have not finished their quota) reaches zero.
+	live  int
+	grant *thread
 	// lockEpoch increments whenever any lock is released (or a holder is
 	// wounded); blocked threads only become runnable again when the epoch
 	// has moved past the one they blocked under, so a failed re-check
@@ -121,9 +123,9 @@ type Runner struct {
 
 // thread run states (thread.status).
 const (
-	statusReady    = iota // parked at a yield point, runnable
+	statusReady    = iota // suspended at a yield point, runnable
 	statusBlocked         // waiting on a lock
-	statusFinished        // quota done, goroutine exited
+	statusFinished        // quota done, coroutine returned
 )
 
 type thread struct {
@@ -131,8 +133,12 @@ type thread struct {
 	id  int
 	env *engine.Env
 
-	resume chan struct{}
-	status int
+	// The thread's coroutine: Run resumes it with next and ends it with
+	// stop; suspend (its yield func) reports false once stopped.
+	next    func() (struct{}, bool)
+	stop    func()
+	suspend func(struct{}) bool
+	status  int
 	// blockEpoch is the lockEpoch observed when the thread blocked.
 	blockEpoch uint64
 	blockLine  uint64
@@ -157,6 +163,9 @@ type thread struct {
 
 // abortSignal unwinds a wounded or validation-failed transaction body.
 type abortSignal struct{}
+
+// stopSignal unwinds a suspended thread that Run stops; seq recovers it.
+type stopSignal struct{}
 
 // New builds a Runner over sys. The system must have been built with
 // engine.Config.Abortable (the rollback arena TxAbort needs).
@@ -184,12 +193,7 @@ func New(sys *engine.System, cfg Config) (*Runner, error) {
 	}
 	r.threads = make([]*thread, n)
 	for i := range r.threads {
-		r.threads[i] = &thread{
-			r:      r,
-			id:     i,
-			env:    sys.NewEnv(i),
-			resume: make(chan struct{}),
-		}
+		r.threads[i] = &thread{r: r, id: i, env: sys.NewEnv(i)}
 	}
 	return r, nil
 }
@@ -199,7 +203,7 @@ func New(sys *engine.System, cfg Config) (*Runner, error) {
 func (r *Runner) History() *History { return &r.history }
 
 // policy is the internal algorithm surface. All methods run on the
-// granted thread's goroutine; none may yield except through t.acquire
+// granted thread's coroutine; none may yield except through t.acquire
 // helpers that the policy itself owns.
 type policy interface {
 	// begin opens the engine transaction and resets per-attempt state.
@@ -220,9 +224,9 @@ type policy interface {
 
 // Run executes totalTxs committed transactions spread round-robin over the
 // sources (one per thread, like engine.System.Run). It returns when every
-// thread has committed its share and every thread goroutine has exited;
-// aborted attempts retry until they commit, so the committed-transaction
-// count is exact.
+// thread has committed its share; aborted attempts retry until they
+// commit, so the committed-transaction count is exact. A thread's panic
+// or a stuck scheduler panics out of Run once every coroutine is stopped.
 func (r *Runner) Run(sources []TxSource, totalTxs int) {
 	n := len(r.threads)
 	if len(sources) != n {
@@ -233,30 +237,28 @@ func (r *Runner) Run(sources []TxSource, totalTxs int) {
 		quota[i%n]++
 	}
 	r.live = 0
-	var wg sync.WaitGroup
+	defer func() {
+		for _, t := range r.threads {
+			if t.stop != nil {
+				t.stop() // a no-op once the coroutine has returned
+			}
+		}
+	}()
 	for i, t := range r.threads {
-		t.status = statusReady
-		t.wounded = false
-		t.committing = false
-		t.inTx = false
+		t.status, t.wounded, t.committing, t.inTx = statusReady, false, false, false
 		if quota[i] == 0 {
 			t.status = statusFinished
 			continue
 		}
 		r.live++
-		wg.Add(1)
-		go func(t *thread, src TxSource, quota int) {
-			defer wg.Done()
-			t.loop(src, quota)
-		}(t, sources[i], quota[i])
+		t.next, t.stop = iter.Pull(t.seq(sources[i], quota[i]))
 	}
-	if r.live > 0 {
-		// Every launched goroutine parks before its first step. Grant the
-		// first; from here on the threads hand steps to each other, and
-		// the last to finish ends the run by exiting.
-		r.handoff(r.pick())
+	for t := r.pick(); r.live > 0; t = r.grant {
+		if t == nil {
+			panic("cc: no runnable thread (lock scheduler stuck — wound-wait must prevent deadlock)")
+		}
+		t.next()
 	}
-	wg.Wait()
 }
 
 // pick selects the next thread to step: the smallest-clock thread that is
@@ -280,30 +282,23 @@ func (r *Runner) pick() *thread {
 	return best
 }
 
-// handoff grants the next step to t (the result of pick), waking its
-// goroutine. The caller must touch no shared state afterwards until it is
-// itself granted a step again.
-func (r *Runner) handoff(t *thread) {
-	if t == nil {
-		panic("cc: no runnable thread (lock scheduler stuck — wound-wait must prevent deadlock)")
-	}
-	t.resume <- struct{}{}
-}
-
-// loop is one thread's goroutine: commit `quota` transactions, retrying
-// aborted attempts with the same body, then pass the step on (the last
-// thread to finish has none to pass, and Run returns once it exits).
-func (t *thread) loop(src TxSource, quota int) {
-	<-t.resume // initial park; Run or another thread grants the first step
-	for done := 0; done < quota; done++ {
-		body := src.Next()
-		t.runToCommit(body)
-	}
-	t.status = statusFinished
-	r := t.r
-	r.live--
-	if r.live > 0 {
-		r.handoff(r.pick())
+// seq is one thread's coroutine body: commit quota transactions, retrying
+// aborted attempts with the same body, then pick the thread to step next.
+// A stopSignal (Run stopping a suspended thread) ends it quietly.
+func (t *thread) seq(src TxSource, quota int) iter.Seq[struct{}] {
+	return func(suspend func(struct{}) bool) {
+		t.suspend = suspend
+		defer func() {
+			if e := recover(); e != nil && e != any(stopSignal{}) {
+				panic(e)
+			}
+		}()
+		for done := 0; done < quota; done++ {
+			t.runToCommit(src.Next())
+		}
+		t.status = statusFinished
+		t.r.live--
+		t.r.grant = t.r.pick()
 	}
 }
 
@@ -369,14 +364,16 @@ func (t *thread) tryOnce(body TxFunc) (committed bool) {
 }
 
 // yield ends the thread's current step: it picks the next thread to step
-// and, unless that is itself, hands the step over and parks until it is
-// granted one again. A pending wound is consumed here: the grant lands as
-// an abort.
+// and, unless that is itself, records the grant and suspends until Run
+// resumes it. A pending wound is consumed here: the grant lands as an
+// abort.
 func (t *thread) yield(status int) {
 	t.status = status
 	if next := t.r.pick(); next != t {
-		t.r.handoff(next)
-		<-t.resume
+		t.r.grant = next
+		if !t.suspend(struct{}{}) {
+			panic(stopSignal{})
+		}
 	}
 	t.status = statusReady
 	if t.wounded {
@@ -385,7 +382,7 @@ func (t *thread) yield(status int) {
 	}
 }
 
-// yieldBlocked parks the thread as blocked on line until a lock releases.
+// yieldBlocked suspends the thread as blocked on line until a lock releases.
 func (t *thread) yieldBlocked(line uint64) {
 	t.blockLine = line
 	t.blockEpoch = t.r.lockEpoch

@@ -11,8 +11,8 @@ import (
 // BenchmarkCCTx4Contended measures one committed transaction of 4
 // read-modify-write pairs with 8 threads contending on a shared 256-word
 // Zipfian pool (theta 0.9, the contention figure's middle skew). Unlike
-// BenchmarkCCTx4, steps pass between thread goroutines, and aborts and
-// lock waits happen, so this is the cost of the scheduler's handoff path.
+// BenchmarkCCTx4, steps move between thread coroutines, and aborts and
+// lock waits happen, so this is the cost of the scheduler's switch path.
 func BenchmarkCCTx4Contended(b *testing.B) {
 	const threads = 8
 	for _, policy := range cc.Policies {

@@ -193,7 +193,7 @@ func (p *lockPolicy) unregister(t *thread) {
 }
 
 // wound delivers wound-wait: every conflicting holder younger than t is
-// marked wounded (consumed at its next yield as an abort). Holders parked
+// marked wounded (consumed at its next yield as an abort). Holders suspended
 // at their commit step are exempt — their locks release in finite time
 // without t's help.
 func (p *lockPolicy) wound(t *thread, ls *lockState, bit uint64, excl bool) {

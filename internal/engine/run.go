@@ -143,20 +143,19 @@ func (s *System) VerifyRecovered(maxReport int) []Mismatch {
 	}
 	var out []Mismatch
 	buf := make([]byte, mem.PageSize)
-	s.oracle.ForEachPageUntil(func(base mem.PAddr, want []byte) bool {
+	for base, want := range s.oracle.Pages() {
 		if !s.layout.Home.Contains(base) {
-			return true
+			continue
 		}
 		s.store.Read(base, buf)
 		for i := range want {
 			if want[i] != buf[i] {
 				out = append(out, Mismatch{Addr: base + mem.PAddr(i), Want: want[i], Got: buf[i]})
 				if len(out) >= maxReport {
-					return false
+					return out
 				}
 			}
 		}
-		return true
-	})
+	}
 	return out
 }

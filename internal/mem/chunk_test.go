@@ -66,9 +66,9 @@ func TestStoreChunkedPages(t *testing.T) {
 	}
 }
 
-// TestStoreChunkedIterationOrder checks that ForEachPage and
-// ForEachPageUntil visit every page once, in ascending address order,
-// across chunk boundaries, whatever the write order was.
+// TestStoreChunkedIterationOrder checks that Pages visits every page once,
+// in ascending address order, across chunk boundaries, whatever the write
+// order was, and that breaking out of the loop stops the walk.
 func TestStoreChunkedIterationOrder(t *testing.T) {
 	s := NewStore()
 	addrs := spreadAddrs()
@@ -80,22 +80,24 @@ func TestStoreChunkedIterationOrder(t *testing.T) {
 		want = append(want, PageAddr(a))
 	}
 	var got []PAddr
-	s.ForEachPage(func(base PAddr, data []byte) {
+	for base, data := range s.Pages() {
 		if len(data) != PageSize {
 			t.Fatalf("page %v has %d bytes", base, len(data))
 		}
 		got = append(got, base)
-	})
+	}
 	if !slices.Equal(got, want) {
-		t.Fatalf("ForEachPage visited %v, want %v", got, want)
+		t.Fatalf("Pages visited %v, want %v", got, want)
 	}
 	got = got[:0]
-	s.ForEachPageUntil(func(base PAddr, _ []byte) bool {
+	for base := range s.Pages() {
 		got = append(got, base)
-		return len(got) < 5
-	})
+		if len(got) == 5 {
+			break
+		}
+	}
 	if !slices.Equal(got, want[:5]) {
-		t.Fatalf("ForEachPageUntil visited %v, want the prefix %v", got, want[:5])
+		t.Fatalf("Pages with a break visited %v, want the prefix %v", got, want[:5])
 	}
 }
 
@@ -133,7 +135,9 @@ func TestStoreChunkedCloneCopyReset(t *testing.T) {
 		t.Fatal("Reset left pages behind")
 	}
 	n := 0
-	c.ForEachPage(func(PAddr, []byte) { n++ })
+	for range c.Pages() {
+		n++
+	}
 	if n != 0 {
 		t.Fatalf("Reset store iterates %d pages", n)
 	}

@@ -148,13 +148,15 @@ func TestStoreZeroRange(t *testing.T) {
 	}
 }
 
-func TestStoreForEachPageOrdered(t *testing.T) {
+func TestStorePagesOrdered(t *testing.T) {
 	s := NewStore()
 	for _, p := range []PAddr{7 * PageSize, 2 * PageSize, 100 * PageSize, 3 * PageSize} {
 		s.WriteWord(p, 1)
 	}
 	var got []PAddr
-	s.ForEachPage(func(base PAddr, _ []byte) { got = append(got, base) })
+	for base := range s.Pages() {
+		got = append(got, base)
+	}
 	if len(got) != 4 {
 		t.Fatalf("visited %d pages", len(got))
 	}
@@ -165,28 +167,30 @@ func TestStoreForEachPageOrdered(t *testing.T) {
 	}
 }
 
-// TestStoreForEachPageUntilStops verifies the bool-returning walk actually
-// stops visiting pages once the callback returns false (callers like the
-// engine's VerifyRecovered rely on this to bail out early).
-func TestStoreForEachPageUntilStops(t *testing.T) {
+// TestStorePagesBreakStops verifies that breaking out of a Pages loop
+// actually stops the walk (callers like the engine's VerifyRecovered rely
+// on this to bail out early).
+func TestStorePagesBreakStops(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 16; i++ {
 		s.WriteWord(PAddr(i)*PageSize, uint64(i)+1)
 	}
 	visits := 0
-	s.ForEachPageUntil(func(base PAddr, _ []byte) bool {
-		visits++
-		return visits < 3
-	})
+	for range s.Pages() {
+		if visits++; visits == 3 {
+			break
+		}
+	}
 	if visits != 3 {
-		t.Fatalf("visited %d pages after returning false, want 3", visits)
+		t.Fatalf("visited %d pages after breaking, want 3", visits)
 	}
 	// Lowest-addressed pages come first, so an early stop sees a prefix.
 	var bases []PAddr
-	s.ForEachPageUntil(func(base PAddr, _ []byte) bool {
-		bases = append(bases, base)
-		return len(bases) < 2
-	})
+	for base := range s.Pages() {
+		if bases = append(bases, base); len(bases) == 2 {
+			break
+		}
+	}
 	if len(bases) != 2 || bases[0] != 0 || bases[1] != PageSize {
 		t.Fatalf("early-stopped walk saw %v, want first two pages", bases)
 	}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"encoding/binary"
+	"iter"
 	"slices"
 )
 
@@ -248,30 +249,23 @@ func (s *Store) copyPages(other *Store) {
 // PagesAllocated reports how many 4 KB pages have been materialized.
 func (s *Store) PagesAllocated() int { return s.npages }
 
-// ForEachPage calls fn for every materialized page with its base address
-// and contents, in ascending address order. fn must not modify the store.
-func (s *Store) ForEachPage(fn func(base PAddr, data []byte)) {
-	s.ForEachPageUntil(func(base PAddr, data []byte) bool {
-		fn(base, data)
-		return true
-	})
-}
-
-// ForEachPageUntil is ForEachPage with early termination: it stops as soon
-// as fn returns false. Scans that only need a bounded prefix (recovery
-// verification reporting the first few mismatches) avoid walking the rest
-// of the working set. Only the chunk keys are sorted; pages within a chunk
-// are visited in array order.
-func (s *Store) ForEachPageUntil(fn func(base PAddr, data []byte) bool) {
-	keys := make([]uint64, 0, len(s.chunks))
-	for key := range s.chunks {
-		keys = append(keys, key)
-	}
-	slices.Sort(keys)
-	for _, key := range keys {
-		for i, p := range s.chunks[key] {
-			if p != nil && !fn(PAddr(key<<chunkShift|uint64(i)<<PageShift), p[:]) {
-				return
+// Pages iterates over every materialized page with its base address and
+// contents, in ascending address order. Only the chunk keys are sorted;
+// pages within a chunk are visited in array order, and a loop that breaks
+// early skips the rest of the working set. Pages the loop body
+// materializes may or may not be visited.
+func (s *Store) Pages() iter.Seq2[PAddr, []byte] {
+	return func(yield func(PAddr, []byte) bool) {
+		keys := make([]uint64, 0, len(s.chunks))
+		for key := range s.chunks {
+			keys = append(keys, key)
+		}
+		slices.Sort(keys)
+		for _, key := range keys {
+			for i, p := range s.chunks[key] {
+				if p != nil && !yield(PAddr(key<<chunkShift|uint64(i)<<PageShift), p[:]) {
+					return
+				}
 			}
 		}
 	}

@@ -105,7 +105,7 @@ func BenchmarkStoreZeroRange(b *testing.B) {
 	}
 }
 
-func BenchmarkStoreForEachPage(b *testing.B) {
+func BenchmarkStorePages(b *testing.B) {
 	s := NewStore()
 	for a := PAddr(0); a < 256*PageSize; a += PageSize {
 		s.WriteWord(a, 1)
@@ -114,7 +114,9 @@ func BenchmarkStoreForEachPage(b *testing.B) {
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {
-		s.ForEachPage(func(base PAddr, data []byte) { n++ })
+		for range s.Pages() {
+			n++
+		}
 	}
 	benchSinkInt = n
 }
